@@ -294,8 +294,9 @@ class Engine:
 
         Each extremal face is merged across the wall, the merged face set
         is sampled, and every sampled representative is tested for orbit
-        connectivity with x.  A single success is a witness; exhausting
-        all representatives gives a certified no.
+        connectivity with x.  A single success is a witness.  Exhausting
+        all representatives gives a no that is not certified: only the
+        merged extremal faces are sampled, not the whole wall.
         """
         xs = self._check_point(x, "x")
         if not 1 <= i <= self.sys.n - 1:

@@ -9,7 +9,9 @@ and halve the pitch until the class count repeats.  Every answer exposes
 the resolution it was computed at, so callers can report it instead of
 pretending the result is exact.
 
-Cell centers are tested with these conventions:
+Cell centers are tested with these conventions, in exact integer
+arithmetic after clearing the denominators of the centers and of each
+constraint:
 
   * GE constraints are taken as written, g >= 0.
   * EQ constraints are thickened to |g| <= delta, so a codimension-one set
@@ -17,6 +19,10 @@ Cell centers are tested with these conventions:
     the current pitch.
   * GT constraints are shrunk to g >= gamma * pitch; open sets lose a
     one-cell margin and cannot leak through a pinch point.
+
+A region that carries the chamber ordering z1 <= ... <= zl on a box with
+the same range on every axis walks only its sorted cells, the weakly
+increasing index tuples; the cells it skips fail the ordering anyway.
 
 Query points (arguments of `connected`) get the laxer `Relation.holds`
 test instead, with the EQ delta as slack, because they are usually
@@ -28,6 +34,7 @@ to the face-adjacent feasible cells, if any.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -210,7 +217,14 @@ def _find(parent: dict, a: int) -> int:
 
 
 class _Grid:
-    """Classification of one region at one fixed pitch."""
+    """Classification of one region at one fixed pitch.
+
+    Cells are tested in integer arithmetic.  Every cell center is a / D
+    for one common denominator D, and an atom g of total degree t is
+    compiled to the integer polynomial L * D^t * g, where L clears its
+    coefficient denominators; each `_cell_atom_holds` test then compares
+    integers against a threshold scaled by the same L * D^t.
+    """
 
     def __init__(self, region: Region, cfg: OracleConfig, h: Fraction):
         self.h = h
@@ -244,53 +258,74 @@ class _Grid:
             s *= m[k]
         self.strides = strides
 
-        atoms = list(region.requires)
-        for group in region.excludes:
-            atoms.extend(group)
-        need = [0] * region.dim
-        for poly, _ in atoms:
-            for k, e in enumerate(poly.max_exponents()):
-                if e > need[k]:
-                    need[k] = e
-        # pows[k][i][e] = centers[k][i] ** e, shared across all atoms
-        pows = []
-        for k in range(region.dim):
-            axis = []
-            for c in centers[k]:
-                row = [Fraction(1)] * (need[k] + 1)
-                for e in range(1, need[k] + 1):
-                    row[e] = row[e - 1] * c
-                axis.append(row)
-            pows.append(axis)
+        # on a uniform box the chamber atoms hold exactly on the weakly
+        # increasing index tuples, so only those cells are walked
+        chamber = {
+            (ExpandedPoly.variable(self.dim, k + 1) - ExpandedPoly.variable(self.dim, k),
+             Relation.GE)
+            for k in range(1, self.dim)
+        }
+        sorted_walk = chamber <= set(region.requires) and all(c == centers[0] for c in centers)
+        requires = [a for a in region.requires if not (sorted_walk and a in chamber)]
 
-        def value(poly: ExpandedPoly, idx: tuple[int, ...]) -> Fraction:
-            total = Fraction(0)
-            for exp, coeff in poly.terms.items():
-                v = coeff
-                for k, e in enumerate(exp):
-                    if e:
-                        v = v * pows[k][idx[k]][e]
-                total += v
-            return total
+        D = math.lcm(*(c.denominator for axis in centers for c in axis))
+        nums = [[c.numerator * (D // c.denominator) for c in axis] for axis in centers]
+
+        def compile_atom(atom: Atom):
+            # L * D^t * g as a constant, per-axis tables that sum the
+            # one-variable terms at every cell, and the mixed terms
+            poly, rel = atom
+            t = poly.total_degree()
+            L = math.lcm(*(c.denominator for c in poly.terms.values()))
+            const, tables, mixed = 0, {}, []
+            for exp, c in poly.terms.items():
+                coeff = c.numerator * (L // c.denominator) * D ** (t - sum(exp))
+                factors = [(k, e) for k, e in enumerate(exp) if e]
+                if not factors:
+                    const += coeff
+                elif len(factors) == 1:
+                    k, e = factors[0]
+                    table = tables.setdefault(k, [0] * m[k])
+                    for i, a in enumerate(nums[k]):
+                        table[i] += coeff * a**e
+                else:
+                    mixed.append((coeff, factors))
+            eq = rel is Relation.EQ
+            bound = delta if eq else margin if rel is Relation.GT else Fraction(0)
+            threshold = bound.numerator * L * D**t
+            return const, list(tables.items()), mixed, eq, bound.denominator, threshold
+
+        def holds(atom, idx) -> bool:
+            g, tables, mixed, eq, den, threshold = atom
+            for k, table in tables:
+                g += table[idx[k]]
+            for c, factors in mixed:
+                for k, e in factors:
+                    c *= nums[k][idx[k]] ** e
+                g += c
+            return abs(g) * den <= threshold if eq else g * den >= threshold
+
+        req = [compile_atom(a) for a in requires]
+        exc = [[compile_atom(a) for a in group] for group in region.excludes]
 
         def ok(idx: tuple[int, ...]) -> bool:
-            for poly, rel in region.requires:
-                if not _cell_atom_holds(rel, value(poly, idx), delta, margin):
+            # a plain loop: every cell passes here, and a generator per
+            # cell doubled the grid time
+            for atom in req:
+                if not holds(atom, idx):
                     return False
-            for group in region.excludes:
-                if all(
-                    _cell_atom_holds(rel, value(poly, idx), delta, margin)
-                    for poly, rel in group
-                ):
-                    return False
-            return True
+            return not any(all(holds(a, idx) for a in group) for group in exc)
 
+        if sorted_walk:
+            cells = itertools.combinations_with_replacement(range(m[0]), region.dim)
+        else:
+            cells = itertools.product(*(range(c) for c in m))
         feasible: set[int] = set()
         parent: dict[int, int] = {}
         order: list[int] = []
         # lexicographic walk; the smaller neighbor along each axis was
         # already visited, so one backward look per axis suffices
-        for idx in itertools.product(*(range(c) for c in m)):
+        for idx in cells:
             if not ok(idx):
                 continue
             flat = 0

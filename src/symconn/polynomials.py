@@ -139,15 +139,6 @@ class ExpandedPoly:
             total += val
         return total
 
-    def max_exponents(self) -> tuple[int, ...]:
-        """Per-variable maximum exponent (all zeros for a constant)."""
-        out = [0] * self.nvars
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
-
 
 def block_substitute(poly: ExpandedPoly, lam: Composition | Sequence[int]) -> ExpandedPoly:
     """Identify the variables within each block of lam.

@@ -538,9 +538,6 @@ class AlgebraicPoint:
         runs.append(run)
         return tuple(runs)
 
-    def is_rational(self) -> bool:
-        return self.root().is_exact() or all(c.degree <= 0 for c in self.coords)
-
     def exact_rational(self) -> tuple[Fraction, ...] | None:
         """The coordinates, if they are plainly rational; else None."""
         root = self.root()

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from symconn.engine import (
+    Engine,
     connected_wall,
     connectivity_symmetric,
     connectivity_symmetric_canonical,
@@ -203,3 +204,15 @@ def test_mirrored_pattern_same_verdicts():
 def test_engine_instances_cached():
     assert get_engine(ball3()) is get_engine(ball3())
     assert get_engine(ball3()) is not get_engine(split3())
+
+
+@pytest.mark.parametrize("n,shape", [(5, (2, 4, 3, 1)), (6, (3, 11, 16, 1))])
+def test_ball_d4_union_graph_glues_faces(n, shape):
+    # 1 - p2 >= 0 with d = 4 has several extremal faces; the ball is
+    # convex, so the glued union graph has a single component
+    poly = PowerSumPoly(4, {(0, 0, 0, 0): F(1), (0, 1, 0, 0): F(-1)})
+    sys = SymmetricSystem(
+        n=n, d=4, constraints=(Constraint(poly, Relation.GE),), box=make_box(n, -1, 1)
+    )
+    g = Engine(sys, OracleConfig(h=F(1, 4), max_depth=1)).graph()
+    assert (len(g.faces), len(g.vertices), len(g.edges), g.component_count) == shape

@@ -10,6 +10,7 @@ from symconn.errors import DomainError, PreconditionError
 from symconn.oracle import (
     OracleConfig,
     Region,
+    _Grid,
     brute_force_connected,
     connected,
     face_region,
@@ -278,3 +279,170 @@ def test_exclusion_builds_set_difference():
     bad = point_feasible(diff, (F(3, 2),), OracleConfig())
     assert bad[0] is False
     assert "excluded set 1" in bad[1]
+
+
+# -- differential check of the grid kernel ------------------------------------
+
+
+def reference_classes(region, cfg, h):
+    """Per-cell classification with `ExpandedPoly.eval` on `Fraction`s.
+
+    Follows the module's cell conventions (GE as written, EQ as
+    |g| <= delta, GT as g >= gamma * h) over the full product of cells.
+    Returns the class id of every cell (None when infeasible), numbered
+    by first appearance in the lexicographic walk, and the center of the
+    first cell of each class.
+    """
+    delta = region.eq_delta if region.eq_delta is not None else cfg.eq_delta
+    delta = h if delta is None else delta
+    margin = h * cfg.gt_gamma
+
+    def atom_holds(poly, rel, c):
+        v = poly.eval(c)
+        if rel is Relation.EQ:
+            return abs(v) <= delta
+        if rel is Relation.GT:
+            return v >= margin
+        return v >= 0
+
+    centers = []
+    for a, b in zip(*region.box):
+        if a == b:
+            centers.append([a])
+            continue
+        count = -((a - b) // h)
+        w = (b - a) / count
+        centers.append([a + w * F(2 * i + 1, 2) for i in range(count)])
+    feasible = set()
+    for idx in itertools.product(*(range(len(c)) for c in centers)):
+        c = tuple(axis[i] for axis, i in zip(centers, idx))
+        if all(atom_holds(p, r, c) for p, r in region.requires) and not any(
+            all(atom_holds(p, r, c) for p, r in group) for group in region.excludes
+        ):
+            feasible.add(idx)
+    label, reps = {}, []
+    for idx in itertools.product(*(range(len(c)) for c in centers)):
+        if idx not in feasible or idx in label:
+            continue
+        label[idx] = len(reps)
+        reps.append(tuple(axis[i] for axis, i in zip(centers, idx)))
+        stack = [idx]
+        while stack:
+            cur = stack.pop()
+            for k in range(len(cur)):
+                for step in (-1, 1):
+                    nb = cur[:k] + (cur[k] + step,) + cur[k + 1 :]
+                    if nb in feasible and nb not in label:
+                        label[nb] = label[idx]
+                        stack.append(nb)
+    cells = {idx: label.get(idx) for idx in itertools.product(*(range(len(c)) for c in centers))}
+    return cells, reps
+
+
+def random_poly(rng, dim, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exp = [0] * dim
+        for _ in range(rng.randint(1, degree)):
+            exp[rng.randrange(dim)] += 1
+        terms[tuple(exp)] = F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+    return ExpandedPoly(dim, terms)
+
+
+def random_atom(rng, dim):
+    rel = rng.choice((Relation.GE, Relation.GE, Relation.GE, Relation.EQ, Relation.GT))
+    if dim > 1 and rng.random() < (0.5 if rel is Relation.EQ else 0.2):
+        # zero on the diagonal cells of a uniform box: exact ties
+        j, k = rng.sample(range(1, dim + 1), 2)
+        return var(dim, j) - var(dim, k), rel
+    if rel is Relation.EQ:
+        # a slab around a hyperplane, wide enough to hold cells
+        return random_poly(rng, dim, 1).scale(F(1, 7)), rel
+    # balls, slabs, saddles, ray pairs and some cubic terms
+    return random_poly(rng, dim, 3) + F(rng.randint(-2, 5), rng.choice((1, 3))), rel
+
+
+def random_region(rng, dim, chamber, uniform, zero_span):
+    ends = [F(-2), F(-4, 3), F(-2, 5), F(1, 3), F(6, 7), F(5, 3)]
+    lo, hi = [], []
+    for k in range(dim):
+        if uniform and k:
+            lo.append(lo[0])
+            hi.append(hi[0])
+            continue
+        a, b = sorted(rng.sample(ends, 2))
+        lo.append(a)
+        hi.append(a if zero_span and (uniform or k == dim - 1) else b)
+    requires = [random_atom(rng, dim) for _ in range(rng.randint(1, 2))]
+    if chamber:
+        requires += [(var(dim, k + 1) - var(dim, k), Relation.GE) for k in range(1, dim)]
+    excludes = tuple(
+        tuple(random_atom(rng, dim) for _ in range(rng.randint(1, 2)))
+        for _ in range(rng.randint(0, 2))
+    )
+    eq_delta = rng.choice((None, None, F(1, 3), F(2, 5)))
+    return Region(
+        dim=dim, requires=tuple(requires), box=(tuple(lo), tuple(hi)),
+        excludes=excludes, eq_delta=eq_delta,
+    )
+
+
+KERNEL_CASES = [
+    # (chamber atoms, uniform box, zero-span axis)
+    (True, True, False),  # sorted walk
+    (True, False, False),  # chamber atoms on a non-uniform box: product walk
+    (False, True, False),  # uniform box without chamber atoms: product walk
+    (False, False, False),
+    (True, False, True),
+    (False, False, True),
+    (True, True, True),  # a single point box
+]
+
+
+@pytest.mark.parametrize("chamber,uniform,zero_span", KERNEL_CASES)
+def test_grid_kernel_matches_fraction_reference(chamber, uniform, zero_span):
+    rng = random.Random(KERNEL_CASES.index((chamber, uniform, zero_span)))
+    feasible_total = split = 0
+    for _ in range(20):
+        dim = rng.randint(2, 3) if chamber or uniform else rng.randint(1, 3)
+        region = random_region(rng, dim, chamber, uniform, zero_span)
+        cfg = OracleConfig(
+            gt_gamma=rng.choice((F(0), F(1), F(2, 3))),
+            eq_delta=rng.choice((None, F(1, 5))),
+        )
+        h = rng.choice((F(1, 2), F(1, 3), F(2, 7)))
+        grid = _Grid(region, cfg, h)
+        cells, reps = reference_classes(region, cfg, h)
+        assert {idx: grid.class_of_cell(idx) for idx in cells} == cells
+        assert len(grid.feasible) == sum(c is not None for c in cells.values())
+        assert grid.representatives == reps
+        feasible_total += len(grid.feasible)
+        split += len(reps) >= 2
+    # the random regions must exercise something
+    assert feasible_total > 0
+    if uniform and not zero_span:
+        assert split > 0
+
+
+@pytest.mark.parametrize("rel", [Relation.GE, Relation.EQ, Relation.GT])
+@pytest.mark.parametrize("excluded", [False, True])
+@pytest.mark.parametrize("chamber", [False, True])
+def test_grid_kernel_matches_reference_on_exact_ties(rel, excluded, chamber):
+    # centers are k/3 - 1/6 on both axes, so 3/7 * (z2 - z1) takes the
+    # values j/7, and 1/7 is both the EQ slab and the GT margin; the
+    # excluded atom faces the other way so the chamber keeps some cells
+    tie = ((var(2, 2) - var(2, 1)).scale(F(-3, 7) if excluded else F(3, 7)), rel)
+    ball = (ExpandedPoly.constant(2, F(9, 5)) - var(2, 1) ** 2 - var(2, 2) ** 2, Relation.GE)
+    requires = (ball,) if excluded else (ball, tie)
+    if chamber:
+        requires += ((var(2, 2) - var(2, 1), Relation.GE),)
+    region = Region(
+        dim=2, requires=requires, box=((F(-1, 3),) * 2, (F(5, 3),) * 2),
+        excludes=((tie,),) if excluded else (), eq_delta=F(1, 7),
+    )
+    cfg = OracleConfig(gt_gamma=F(3, 7))
+    grid = _Grid(region, cfg, F(1, 3))
+    cells, reps = reference_classes(region, cfg, F(1, 3))
+    assert {idx: grid.class_of_cell(idx) for idx in cells} == cells
+    assert grid.representatives == reps
+    assert grid.feasible
