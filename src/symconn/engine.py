@@ -1,7 +1,8 @@
 """Connectivity deciders built on the face graph.
 
 `Engine` bundles the per-system state: the extremal faces, the union
-graph over them, and memoized canonical points and wall verdicts.  The
+graph over them with the summary every certificate quotes, and memoized
+canonical points and wall verdicts.  The
 module-level helpers keep one engine per (system, config, pattern)
 triple, so repeated queries against the same system reuse the graph.
 
@@ -165,6 +166,7 @@ class Engine:
         self.pattern = pattern
         self._faces: tuple[FaceSystem, ...] | None = None
         self._graph: UnionGraph | None = None
+        self._graph_summary: dict | None = None
         self._canon: dict = {}
         self._walls: dict = {}
 
@@ -247,17 +249,20 @@ class Engine:
         }
 
     def _graph_json(self) -> dict:
-        g = self.graph()
-        res = []
-        for f in self.faces():
-            summ = resolve_region(face_region(f), self.cfg).summary()
-            res.append({"face": list(f.lam.parts), **_summary_json(summ)})
-        return {
-            "vertices": len(g.vertices),
-            "edges": len(g.edges),
-            "components": g.component_count,
-            "resolutions": res,
-        }
+        """Graph summary, built once; every certificate shares it."""
+        if self._graph_summary is None:
+            g = self.graph()
+            res = []
+            for f in self.faces():
+                summ = resolve_region(face_region(f), self.cfg).summary()
+                res.append({"face": list(f.lam.parts), **_summary_json(summ)})
+            self._graph_summary = {
+                "vertices": len(g.vertices),
+                "edges": len(g.edges),
+                "components": g.component_count,
+                "resolutions": res,
+            }
+        return self._graph_summary
 
     # -- deciders --------------------------------------------------------------
 

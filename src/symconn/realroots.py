@@ -12,7 +12,7 @@ denominators and run over plain integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
@@ -479,12 +479,20 @@ class AlgebraicPoint:
     `q` pins down the root (via the sign code), `q0` is the common
     denominator, `coords` hold one numerator polynomial per coordinate.
     gcd(q, q0) = 1, so the denominator cannot vanish at the root.
+
+    `enclosure` is the isolating data (squarefree part, lo, hi) of the root
+    as Thom encoding left it.  The solver passes it in; a point built
+    without it isolates once, on first use.  It is not part of the point's
+    identity: equality, hashing and `payload()` ignore it.  `root()` hands
+    out a fresh `RealRoot` on every call, because callers refine the root
+    they are given and must not move each other's enclosures.
     """
 
     q: UniPoly
     q0: UniPoly
     coords: tuple[UniPoly, ...]
     code: ThomCode
+    enclosure: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if poly_gcd(self.q, self.q0).degree > 0:
@@ -495,7 +503,10 @@ class AlgebraicPoint:
         return len(self.coords)
 
     def root(self) -> RealRoot:
-        return find_root(self.q, self.code)
+        if self.enclosure is None:
+            r = find_root(self.q, self.code)
+            object.__setattr__(self, "enclosure", (r.poly, r.lo, r.hi))
+        return RealRoot(*self.enclosure)
 
     def refine(self, eps) -> list[tuple[Fraction, Fraction]]:
         """Per-coordinate enclosures, each at most eps wide."""
@@ -647,42 +658,3 @@ def _separation_bound(p: UniPoly) -> Fraction:
     norm_up = isqrt(norm_sq) + 1
     denom = m ** ((m + 3) // 2) * norm_up ** (m - 1)
     return Fraction(1, denom)
-
-
-def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Resultant of f and g over the rationals."""
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    a, b = f, g
-    sign_acc = 1
-    factor = Fraction(1)
-    while True:
-        if b.degree == 0:
-            return sign_acc * factor * b.leading() ** a.degree
-        if a.degree < b.degree:
-            if (a.degree * b.degree) % 2 == 1:
-                sign_acc = -sign_acc
-            a, b = b, a
-            continue
-        r = divmod_poly(a, b)[1]
-        if r.is_zero():
-            return Fraction(0)
-        factor *= b.leading() ** (a.degree - r.degree)
-        if (a.degree * b.degree) % 2 == 1:
-            sign_acc = -sign_acc
-        a, b = b, r
-
-
-def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> UniPoly:
-    """Lagrange interpolation through (x, y) pairs with distinct x."""
-    result = UniPoly([])
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = UniPoly.constant(yi)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * UniPoly([-xj, 1]).scale(Fraction(1, 1) / (xi - xj))
-        result = result + term
-    return result

@@ -7,15 +7,22 @@ as a rational parametrization (q, q0, q_1..q_d): each solution is
 (q_1/q0, ..., q_d/q0) evaluated at a root of q, with gcd(q, q0) = 1.
 
 Degrees one and two admit closed forms by linear elimination.  Higher degrees
-go through a Groebner basis of the system, multiplication matrices on the
-quotient, a radical-ization pass (adjoining squarefree univariate vanishing
-polynomials), a separating linear form, and trace formulas.
+go through a Groebner basis of the system, computed with normal forms in
+sympy's sparse polynomial ring, multiplication matrices on the quotient, a
+radical-ization pass (adjoining squarefree univariate vanishing polynomials),
+a separating linear form, and trace formulas.  The traces of the separating
+matrix's powers are taken over the integers, with denominators cleared once.
+
+Values at a solution, such as the power sum p_{d+1} that `min_canonical`
+minimizes, live in Q[T]/(q): powers are reduced modulo q, and the polynomial
+that pins a value down is its minimal polynomial in that algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .compositions import Composition, extremal_compositions
@@ -24,10 +31,9 @@ from .realroots import (
     AlgebraicPoint,
     AlgebraicValue,
     UniPoly,
-    interpolate,
+    divmod_poly,
     poly_gcd,
     rational_function_interval,
-    resultant,
     sign_at,
     squarefree_part,
     thom_rooted,
@@ -85,16 +91,14 @@ def _solve_pair(w, rhs) -> Parametrization:
 
 
 def _solve_generic(w, rhs) -> Parametrization | None:
-    import sympy
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
 
     d = len(w)
-    zs = sympy.symbols(f"z1:{d + 1}")
-    eqs = [
-        sum(sympy.Integer(m) * z**j for m, z in zip(w, zs))
-        - sympy.Rational(rhs[j - 1].numerator, rhs[j - 1].denominator)
-        for j in range(1, d + 1)
-    ]
-    data = _quotient_data(eqs, zs)
+    R, *zs = ring(",".join(f"z{k}" for k in range(1, d + 1)), QQ, grevlex)
+    eqs = [sum(m * z**j for m, z in zip(w, zs)) - rhs[j - 1] for j in range(1, d + 1)]
+    data = _quotient_data(eqs, R)
     if data is None:
         return None
     basis, mats = data
@@ -106,14 +110,9 @@ def _solve_generic(w, rhs) -> Parametrization | None:
         f = _krylov_min_poly(mats[i])
         sf = squarefree_part(f)
         if sf.degree < f.degree:
-            extra.append(
-                sum(
-                    sympy.Rational(c.numerator, c.denominator) * z**k
-                    for k, c in enumerate(sf.coeffs)
-                )
-            )
+            extra.append(sum(c * z**k for k, c in enumerate(sf.coeffs)))
     if extra:
-        data = _quotient_data(eqs + extra, zs)
+        data = _quotient_data(eqs + extra, R)
         if data is None:
             raise SolverError("radical pass emptied a nonempty system")
         basis, mats = data
@@ -131,14 +130,23 @@ def _solve_generic(w, rhs) -> Parametrization | None:
     if poly_gcd(q, q.derivative()).degree > 0:
         raise SolverError("separating form produced a non-squarefree eliminant")
 
-    # traces against powers of the separating matrix
-    powers = [_mat_identity(D)]
-    for _ in range(D - 1):
-        powers.append(_mat_mul(powers[-1], mu))
-    t_one = [_mat_trace(p) for p in powers]
-    t_var = [
-        [_trace_product(mats[i], p) for p in powers] for i in range(d)
-    ]
+    # traces against powers of the separating matrix, over the integers:
+    # mu = N / L and M_i = N_i / L_i, so Tr(mu^k) = Tr(N^k) / L^k and
+    # Tr(M_i mu^k) = Tr(N_i N^k) / (L_i L^k)
+    N, L = _integer_matrix(mu)
+    ints = [_integer_matrix(M) for M in mats]
+    t_one, t_var = [], [[] for _ in range(d)]
+    P = [[int(r == c) for c in range(D)] for r in range(D)]
+    Nt = list(zip(*N))
+    for k in range(D):
+        scale = L**k
+        t_one.append(Fraction(sum(P[r][r] for r in range(D)), scale))
+        Pt = list(zip(*P))
+        for (Ni, Li), out in zip(ints, t_var):
+            tr = sum(sum(a * b for a, b in zip(row, col)) for row, col in zip(Ni, Pt))
+            out.append(Fraction(tr, Li * scale))
+        if k + 1 < D:
+            P = [[sum(a * b for a, b in zip(row, col)) for col in Nt] for row in P]
 
     q0 = _trace_poly(q, t_one)
     if q0 != q.derivative():
@@ -147,26 +155,27 @@ def _solve_generic(w, rhs) -> Parametrization | None:
     return Parametrization(q=q, q0=q0, coords=coords)
 
 
-def _quotient_data(eqs, zs):
+def _quotient_data(eqs, R):
     """Monomial basis and multiplication matrices of the quotient algebra.
 
-    None when the system is infeasible over the complex numbers.
+    Works in the sparse polynomial ring R (grevlex).  None when the system
+    is infeasible over the complex numbers.
     """
-    import sympy
+    from sympy.polys.groebnertools import groebner
 
-    G = sympy.groebner(eqs, *zs, order="grevlex")
-    exprs = list(G.exprs)
-    if any(e == 1 for e in exprs):
+    G = groebner(eqs, R)
+    if any(g.is_ground for g in G):
         return None
-    if not G.is_zero_dimensional:
-        raise SolverError("system has infinitely many complex solutions")
-    order = "grevlex"
-    leads = [p.monoms(order=order)[0] for p in G.polys]
+    leads = [g.LM for g in G]
+    nvars = R.ngens
+    # finitely many standard monomials iff every variable has a pure-power lead
+    for i in range(nvars):
+        if not any(l[i] and sum(l) == l[i] for l in leads):
+            raise SolverError("system has infinitely many complex solutions")
 
     def standard(mon):
         return not any(all(m >= l for m, l in zip(mon, lead)) for lead in leads)
 
-    nvars = len(zs)
     start = (0,) * nvars
     basis = [start]
     index = {start: 0}
@@ -190,12 +199,8 @@ def _quotient_data(eqs, zs):
             if nxt in index:
                 col[index[nxt]] = Fraction(1)
             else:
-                expr = sympy.prod(z**e for z, e in zip(zs, nxt))
-                rem = G.reduce(expr)[1]
-                poly = sympy.Poly(rem, *zs)
-                for mon2, c in poly.terms():
-                    c = sympy.Rational(c)
-                    col[index[tuple(mon2)]] = Fraction(int(c.p), int(c.q))
+                for mon2, c in R({nxt: 1}).rem(G).terms():
+                    col[index[mon2]] = Fraction(int(c.numerator), int(c.denominator))
             cols.append(col)
         # column k holds the image of basis element k
         mats.append([[cols[k][r] for k in range(D)] for r in range(D)])
@@ -208,13 +213,6 @@ def _separating_candidates(nvars, D):
     limit = nvars * D * D + 2
     for t in range(1, limit):
         yield tuple(t**j for j in range(nvars))
-
-
-def _mat_identity(D):
-    return [
-        [Fraction(1) if r == c else Fraction(0) for c in range(D)]
-        for r in range(D)
-    ]
 
 
 def _mat_combine(mats, coeffs, D):
@@ -231,28 +229,10 @@ def _mat_combine(mats, coeffs, D):
     return out
 
 
-def _mat_mul(A, B):
-    D = len(A)
-    Bt = list(zip(*B))
-    return [
-        [sum(a * b for a, b in zip(row, col)) for col in Bt]
-        for row in A
-    ]
-
-
-def _mat_trace(A):
-    return sum(A[i][i] for i in range(len(A)))
-
-
-def _trace_product(A, B):
-    # Tr(A B) without forming the product
-    total = Fraction(0)
-    D = len(A)
-    for r in range(D):
-        arow = A[r]
-        for c in range(D):
-            total += arow[c] * B[c][r]
-    return total
+def _integer_matrix(M) -> tuple[list[list[int]], int]:
+    """(N, L) with M = N / L, N an integer matrix and L > 0."""
+    L = lcm(*(x.denominator for row in M for x in row))
+    return [[int(x * L) for x in row] for row in M], L
 
 
 def _krylov_min_poly(M) -> UniPoly:
@@ -311,6 +291,8 @@ def ordered_real_solutions(par: Parametrization | None) -> list[AlgebraicPoint]:
         return []
     out = []
     for code, root in thom_rooted(par.q):
+        # snapshot before the sign tests below refine the root
+        enclosure = (root.poly, root.lo, root.hi)
         s0 = sign_at(par.q0, root)
         if s0 == 0:
             raise SolverError("denominator vanished at a solution root")
@@ -322,7 +304,7 @@ def ordered_real_solutions(par: Parametrization | None) -> list[AlgebraicPoint]:
                 break
         if ok:
             out.append(
-                AlgebraicPoint(q=par.q, q0=par.q0, coords=par.coords, code=code)
+                AlgebraicPoint(par.q, par.q0, par.coords, code, enclosure=enclosure)
             )
     return out
 
@@ -338,16 +320,25 @@ def power_sum_value(pt: AlgebraicPoint, weights: Sequence[int], j: int) -> Algeb
         raise DomainError("need one weight per coordinate")
     if j < 1:
         raise DomainError("power sum index must be >= 1")
-    num = UniPoly([])
-    for wk, ck in zip(weights, pt.coords):
-        num = num + (ck**j).scale(Fraction(wk))
-    den = pt.q0**j
     exact = pt.exact_rational()
     if exact is not None:
         return AlgebraicValue.of_rational(
             sum((Fraction(wk) * zk**j for wk, zk in zip(weights, exact)), Fraction(0))
         )
-    vanishing = _ratio_vanishing(pt.q, num, den)
+    # only values at roots of q matter, so every power is reduced mod q
+    q = pt.q
+
+    def power_mod(p: UniPoly) -> UniPoly:
+        out = UniPoly.constant(1)
+        for _ in range(j):
+            out = divmod_poly(out * p, q)[1]
+        return out
+
+    num = UniPoly([])
+    for wk, ck in zip(weights, pt.coords):
+        num = num + power_mod(ck).scale(Fraction(wk))
+    den = power_mod(pt.q0)
+    vanishing = _ratio_vanishing(q, num, den)
     root = pt.root()
     return AlgebraicValue(
         vanishing,
@@ -360,27 +351,56 @@ def power_sum_value(pt: AlgebraicPoint, weights: Sequence[int], j: int) -> Algeb
 def _ratio_vanishing(q: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
     """Nonzero polynomial vanishing at num/den evaluated at any root of q.
 
-    Built as the resultant in T of q and Y*den - num, by interpolation in Y.
-    Nodes where the T-leading coefficient would drop are skipped so every
-    sample is the resultant of same-degree pairs.
+    The minimal polynomial of r = num / den in Q[T]/(q): evaluation at a
+    root of q is a ring map, so it vanishes at every value.  Requires
+    gcd(q, den) = 1, which makes multiplication by den invertible.
     """
-    m = max(den.degree, num.degree)
-    top_den = den.coeffs[m] if m < len(den.coeffs) else Fraction(0)
-    top_num = num.coeffs[m] if m < len(num.coeffs) else Fraction(0)
-    nodes_needed = q.degree + 1
-    points = []
-    step = 0
-    while len(points) < nodes_needed:
-        y = Fraction(((step + 1) // 2) * (1 if step % 2 else -1))
-        step += 1
-        if top_den * y - top_num == 0:
-            continue  # at most one integer drops the T-degree
-        g = den.scale(y) - num
-        points.append((y, resultant(q, g)))
-    R = interpolate(points)
-    if R.is_zero():
-        raise SolverError("vanishing polynomial collapsed to zero")
-    return R
+    r = UniPoly(_solve_linear(_mult_matrix(den, q), _residue(num, q)))
+    return _krylov_min_poly(_mult_matrix(r, q))
+
+
+def _residue(p: UniPoly, q: UniPoly) -> list[Fraction]:
+    """Coefficients of p mod q, padded to length deg q."""
+    r = list(divmod_poly(p, q)[1].coeffs)
+    return r + [Fraction(0)] * (q.degree - len(r))
+
+
+def _mult_matrix(p: UniPoly, q: UniPoly) -> list[list[Fraction]]:
+    """Multiplication by p on Q[T]/(q) in the basis 1, T, ..., T^(D-1)."""
+    cols = []
+    col = p
+    for _ in range(q.degree):
+        cols.append(_residue(col, q))
+        col = UniPoly([0, *cols[-1]])  # T times the previous column
+    return [list(row) for row in zip(*cols)]
+
+
+def _solve_linear(M, b) -> list[Fraction]:
+    """x with M x = b for a nonsingular rational M.
+
+    Denominators are cleared once and the elimination is fraction-free
+    (Bareiss), so every division before back substitution is exact.  On the
+    d = 4 fibers this is far cheaper than inverting den by the extended
+    Euclidean algorithm over Q, whose remainders swell.
+    """
+    D = len(M)
+    A, _ = _integer_matrix([list(row) + [bi] for row, bi in zip(M, b)])
+    prev = 1
+    for c in range(D):
+        p = next((r for r in range(c, D) if A[r][c]), None)
+        if p is None:
+            raise SolverError("singular linear system")
+        A[c], A[p] = A[p], A[c]
+        pivot, prow = A[c][c], A[c]
+        for r in range(c + 1, D):
+            f = A[r][c]
+            A[r] = [(pivot * x - f * y) // prev for x, y in zip(A[r], prow)]
+        prev = pivot
+    x = [Fraction(0)] * D
+    for i in reversed(range(D)):
+        s = A[i][D] - sum(A[i][j] * x[j] for j in range(i + 1, D))
+        x[i] = Fraction(s) / A[i][i]
+    return x
 
 
 def verify_fiber_point(
@@ -429,6 +449,7 @@ class CanonicalPoint:
             q0=self.point.q0,
             coords=tuple(dup),
             code=self.point.code,
+            enclosure=self.point.enclosure,
         )
 
 

@@ -172,6 +172,14 @@ def test_certificate_replay_is_identical():
     assert a.certificate == b.certificate
 
 
+def test_graph_summary_built_once():
+    eng = Engine(ball3())
+    a = eng.canonical((0, 0, 0), (F(-1, 2), 0, F(1, 2)))
+    b = eng.wall((0, 0, 0), 1)
+    assert a.certificate["graph"] is b.certificate["graph"] is eng._graph_json()
+    assert Engine(ball3())._graph_json() == a.certificate["graph"]
+
+
 def test_certificate_is_json_ready():
     v = connectivity_symmetric(circle(3), ARC_X, ARC_Y, cfg=EQCFG)
     text = json.dumps(v.certificate)
@@ -216,3 +224,17 @@ def test_ball_d4_union_graph_glues_faces(n, shape):
     )
     g = Engine(sys, OracleConfig(h=F(1, 4), max_depth=1)).graph()
     assert (len(g.faces), len(g.vertices), len(g.edges), g.component_count) == shape
+
+
+def test_ball_d4_orbit_query():
+    # the first d = 4 orbit query: y's fiber is solved on the (1, 2, 1, 1)
+    # face, and the convex ball joins it to the origin
+    n = 5
+    poly = PowerSumPoly(4, {(0, 0, 0, 0): F(1), (0, 1, 0, 0): F(-1)})
+    sys = SymmetricSystem(
+        n=n, d=4, constraints=(Constraint(poly, Relation.GE),), box=make_box(n, -1, 1)
+    )
+    eng = Engine(sys, OracleConfig(h=F(1, 4), max_depth=1))
+    v = eng.canonical((0,) * 5, (F(-1, 2), 0, 0, 0, F(1, 2)))
+    assert v.connected
+    assert v.certificate["y_canonical"]["face"] == [1, 2, 1, 1]

@@ -13,13 +13,11 @@ from symconn.realroots import (
     count_real_roots,
     divmod_poly,
     find_root,
-    interpolate,
     isolate_real_roots,
     lift_rational,
     poly_gcd,
     rational_function_interval,
     real_roots,
-    resultant,
     root_bound,
     sign_at,
     sign_at_root,
@@ -244,41 +242,6 @@ def test_coordinate_signs_and_runs():
     assert pt.coordinate_sign(2, offset=2) == 0
     assert pt.coordinate_compare(0, 2) == -1
     assert pt.coordinate_sign(0, offset=Fraction(3, 2)) == -1
-
-
-def sylvester_det(f: UniPoly, g: UniPoly):
-    m, n = f.degree, g.degree
-    rows = []
-    fc = [sympy.Rational(c) for c in reversed(f.coeffs)]
-    gc = [sympy.Rational(c) for c in reversed(g.coeffs)]
-    for i in range(n):
-        rows.append([0] * i + fc + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gc + [0] * (m - 1 - i))
-    return sympy.Matrix(rows).det()
-
-
-def test_resultant_matches_sylvester_determinant():
-    rng = random.Random(12)
-    for _ in range(40):
-        f, g = random_poly(rng, 5), random_poly(rng, 4)
-        assert resultant(f, g) == Fraction(str(sylvester_det(f, g)))
-
-
-def test_resultant_detects_common_factor():
-    t = UniPoly.variable()
-    f = (t - 2) * (t + 1)
-    g = (t - 2) * (t**2 + 1)
-    assert resultant(f, g) == 0
-    assert resultant(t - 2, t - 3) != 0
-
-
-def test_interpolate():
-    pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(5))]
-    p = interpolate(pts)
-    for x, y in pts:
-        assert p.eval(x) == y
-    assert p.degree == 2
 
 
 def test_algebraic_value_compare():

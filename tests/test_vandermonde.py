@@ -3,13 +3,28 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import ring
 
 from symconn.compositions import composition
-from symconn.errors import DomainError
+from symconn.errors import DomainError, SolverError
 from symconn.polynomials import power_sums, vandermonde_map
-from symconn.realroots import AlgebraicValue, thom_rooted
+from symconn.realroots import (
+    AlgebraicPoint,
+    AlgebraicValue,
+    UniPoly,
+    divmod_poly,
+    find_root,
+    thom_rooted,
+)
 from symconn.vandermonde import (
     CanonicalPoint,
+    Parametrization,
+    _quotient_data,
+    _ratio_vanishing,
+    _solve_linear,
     fiber_points,
     min_canonical,
     ordered_real_solutions,
@@ -252,3 +267,287 @@ def test_embedded_point_duplicates_blocks():
     assert abs(x[1] - 1 / math.sqrt(3)) < 1e-9
     assert abs(x[2] - 1 / math.sqrt(3)) < 1e-9
     assert emb.multiplicity_runs() == (1, 2)
+
+
+# -- reference: the interpolated resultant ------------------------------------
+#
+# The solver used to pin p_{d+1} down by the resultant in T of q and
+# Y*den - num, interpolated through deg q + 1 values of Y.  It is kept here
+# as the reference the minimal polynomial must divide.
+
+
+def resultant(f: UniPoly, g: UniPoly) -> Fraction:
+    """Resultant of f and g over the rationals."""
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    a, b = f, g
+    sign_acc = 1
+    factor = Fraction(1)
+    while True:
+        if b.degree == 0:
+            return sign_acc * factor * b.leading() ** a.degree
+        if a.degree < b.degree:
+            if (a.degree * b.degree) % 2 == 1:
+                sign_acc = -sign_acc
+            a, b = b, a
+            continue
+        r = divmod_poly(a, b)[1]
+        if r.is_zero():
+            return Fraction(0)
+        factor *= b.leading() ** (a.degree - r.degree)
+        if (a.degree * b.degree) % 2 == 1:
+            sign_acc = -sign_acc
+        a, b = b, r
+
+
+def interpolate(points) -> UniPoly:
+    """Lagrange interpolation through (x, y) pairs with distinct x."""
+    result = UniPoly([])
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        term = UniPoly.constant(yi)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            term = term * UniPoly([-xj, 1]).scale(Fraction(1, 1) / (xi - xj))
+        result = result + term
+    return result
+
+
+def interpolated_resultant(q: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
+    """Res_T(q, Y*den - num) as a polynomial in Y, by interpolation.
+
+    Nodes where the T-leading coefficient would drop are skipped, so every
+    sample is the resultant of same-degree pairs.
+    """
+    m = max(den.degree, num.degree)
+    top_den = den.coeffs[m] if m < len(den.coeffs) else Fraction(0)
+    top_num = num.coeffs[m] if m < len(num.coeffs) else Fraction(0)
+    points = []
+    step = 0
+    while len(points) < q.degree + 1:
+        y = Fraction(((step + 1) // 2) * (1 if step % 2 else -1))
+        step += 1
+        if top_den * y - top_num == 0:
+            continue
+        points.append((y, resultant(q, den.scale(y) - num)))
+    return interpolate(points)
+
+
+def random_poly(rng, max_deg=8) -> UniPoly:
+    deg = rng.randint(1, max_deg)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg)]
+    coeffs.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
+    return UniPoly(coeffs)
+
+
+def sylvester_det(f: UniPoly, g: UniPoly):
+    m, n = f.degree, g.degree
+    rows = []
+    fc = [sympy.Rational(c) for c in reversed(f.coeffs)]
+    gc = [sympy.Rational(c) for c in reversed(g.coeffs)]
+    for i in range(n):
+        rows.append([0] * i + fc + [0] * (n - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + gc + [0] * (m - 1 - i))
+    return sympy.Matrix(rows).det()
+
+
+def test_resultant_matches_sylvester_determinant():
+    rng = random.Random(12)
+    for _ in range(40):
+        f, g = random_poly(rng, 5), random_poly(rng, 4)
+        assert resultant(f, g) == Fraction(str(sylvester_det(f, g)))
+
+
+def test_resultant_detects_common_factor():
+    t = UniPoly.variable()
+    f = (t - 2) * (t + 1)
+    g = (t - 2) * (t**2 + 1)
+    assert resultant(f, g) == 0
+    assert resultant(t - 2, t - 3) != 0
+
+
+def test_interpolate():
+    pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(5))]
+    p = interpolate(pts)
+    for x, y in pts:
+        assert p.eval(x) == y
+    assert p.degree == 2
+
+
+# -- the generic solver's algebra ---------------------------------------------
+
+
+def random_weighted_systems(seed, count=6):
+    """(weights, a) for d = 3 systems with a real ordered solution."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        w = tuple(rng.randint(1, 3) for _ in range(3))
+        z = sorted(rng.sample([F(k, 2) for k in range(-6, 7)], 3))
+        out.append((w, vandermonde_map(z, 3, weights=w)))
+    return out
+
+
+# the d = 4 ball fiber: y = (-1/2, 0, 0, 0, 1/2) meets face (1, 2, 1, 1)
+BALL_D4 = ((1, 2, 1, 1), power_sums((F(-1, 2), 0, 0, 0, F(1, 2)), 4))
+
+
+def mat_mul(A, B):
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+
+
+QUOTIENT_CASES = random_weighted_systems(71) + [BALL_D4]
+
+
+@pytest.mark.parametrize(
+    "w,a", QUOTIENT_CASES, ids=[f"d3-{k}" for k in range(6)] + ["ball-d4"]
+)
+def test_quotient_matrices_commute_and_satisfy_the_system(w, a):
+    d = len(w)
+    R, *zs = ring(",".join(f"z{k}" for k in range(1, d + 1)), QQ, grevlex)
+    eqs = [sum(m * z**j for m, z in zip(w, zs)) - a[j - 1] for j in range(1, d + 1)]
+    basis, mats = _quotient_data(eqs, R)
+    D = len(basis)
+    assert basis[0] == (0,) * d
+    for i in range(d):
+        for k in range(i + 1, d):
+            assert mat_mul(mats[i], mats[k]) == mat_mul(mats[k], mats[i])
+    powers = list(mats)
+    for j in range(1, d + 1):
+        total = [
+            [sum(wk * P[r][c] for wk, P in zip(w, powers)) for c in range(D)]
+            for r in range(D)
+        ]
+        assert total == [[a[j - 1] if r == c else 0 for c in range(D)] for r in range(D)]
+        powers = [mat_mul(P, M) for P, M in zip(powers, mats)]
+
+
+def test_quotient_data_rejects_degenerate_systems():
+    R, z1, z2, z3 = ring("z1,z2,z3", QQ, grevlex)
+    assert _quotient_data([z1 - 1, z1 - 2, z2, z3], R) is None
+    with pytest.raises(SolverError, match="infinitely many"):
+        _quotient_data([z1 - z2, z3], R)
+
+
+def test_solve_linear_matches_sympy():
+    rng = random.Random(83)
+    for D in (2, 3, 5, 8):
+        M = [[F(0)]]
+        while sympy.Matrix(M).det() == 0:
+            M = [[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(D)] for _ in range(D)]
+            M[0][0] = F(0)  # forces a row swap
+        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(D)]
+        want = sympy.Matrix(M).LUsolve(sympy.Matrix(b))
+        assert _solve_linear(M, b) == [Fraction(str(v)) for v in want]
+    with pytest.raises(SolverError):
+        _solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(0)])
+
+
+def unreduced_power_sum(pt, w, j):
+    num = UniPoly([])
+    for wk, ck in zip(w, pt.coords):
+        num = num + (ck**j).scale(F(wk))
+    return num, pt.q0**j
+
+
+def test_ratio_vanishing_divides_interpolated_resultant():
+    checked = 0
+    for w, a in random_weighted_systems(73):
+        for pt in fiber_points(w, a):
+            num, den = unreduced_power_sum(pt, w, 4)
+            f = _ratio_vanishing(pt.q, num, den)
+            assert not f.is_zero()
+            old = interpolated_resultant(pt.q, num, den)
+            assert divmod_poly(old, f)[1].is_zero()
+            assert f.degree <= old.degree
+            checked += 1
+    assert checked >= 6
+
+
+def test_ratio_vanishing_on_d4_ball_fiber():
+    # the interpolated resultant here has degree 18 and takes seconds to
+    # build, so the minimal polynomial is checked by evaluating it at
+    # r = num/den in Q[T]/(q) instead
+    w, a = BALL_D4
+    (pt,) = fiber_points(w, a)
+    assert pt.q.degree == 18
+    num, den = unreduced_power_sum(pt, w, 5)
+    f = _ratio_vanishing(pt.q, num, den)
+    assert f.degree == 3
+    # f(num/den) = 0 mod q  <=>  sum_k f_k num^k den^(3-k) = 0 mod q
+    num, den = divmod_poly(num, pt.q)[1], divmod_poly(den, pt.q)[1]
+    acc = UniPoly([])
+    for k, c in enumerate(f.coeffs):
+        acc = acc + (num**k * den ** (f.degree - k)).scale(c)
+    assert divmod_poly(acc, pt.q)[1].is_zero()
+    v = power_sum_value(pt, w, 5)
+    assert v.vanishing == f
+    lo, hi = v.interval(F(1, 10**20))
+    rlo, rhi = f.eval_interval(lo, hi)
+    assert rlo <= 0 <= rhi
+
+
+# -- roots are resolved once ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def solver_points():
+    pts = []
+    for w, a in random_weighted_systems(79, 4) + [BALL_D4]:
+        pts.extend(fiber_points(w, a))
+    assert len(pts) >= 5
+    return pts
+
+
+def test_enclosure_is_taken_before_the_ordering_tests():
+    # deciding z1 <= z2 at T = sqrt(2) needs a finer enclosure than Thom
+    # encoding leaves; the point must still carry the unrefined one
+    t = UniPoly.variable()
+    q = t**2 - 2
+    par = Parametrization(q, UniPoly.constant(1), (t, UniPoly.constant(F(141422, 100000))))
+    _, pt = ordered_real_solutions(par)
+    assert pt.code == (1, 1)
+    ref = find_root(q, pt.code)
+    assert pt.enclosure[1:] == (ref.lo, ref.hi)
+    assert ref.width() > F(1, 10**5)
+    assert pt.coordinate_compare(0, 1) < 0
+    r = pt.root()
+    assert (r.lo, r.hi) == (ref.lo, ref.hi)
+
+
+def test_points_carry_the_solver_enclosure(solver_points):
+    for pt in solver_points:
+        assert pt.enclosure is not None
+        r1, r2 = pt.root(), pt.root()
+        assert r1 is not r2
+        ref = find_root(pt.q, pt.code)
+        assert (r1.lo, r1.hi) == (ref.lo, ref.hi)
+        assert r1.poly == ref.poly
+        if not r1.is_exact():
+            r1.refine_to(r1.width() / 1024)
+            assert r1.width() < ref.width()
+        r3 = pt.root()
+        assert (r3.lo, r3.hi) == (ref.lo, ref.hi)
+
+
+def test_payload_roundtrip_ignores_the_enclosure(solver_points):
+    for pt in solver_points:
+        back = AlgebraicPoint.from_payload(pt.payload())
+        assert back.enclosure is None
+        assert back == pt and hash(back) == hash(pt)
+        assert back.payload() == pt.payload()
+        r = back.root()
+        assert back.enclosure == pt.enclosure
+        assert (r.lo, r.hi) == pt.enclosure[1:]
+
+
+def test_embedded_point_carries_the_enclosure():
+    res = min_canonical(5, 4, BALL_D4[1])
+    assert res.lam == composition((1, 2, 1, 1))
+    emb = res.embedded_point()
+    assert emb.enclosure is not None
+    assert emb.enclosure == res.point.enclosure

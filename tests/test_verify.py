@@ -1,10 +1,14 @@
+import hashlib
+import json
 import pathlib
 import shutil
 
 import pytest
 
+from symconn.engine import Engine
 from symconn.errors import ParseError
-from symconn.verify import run_verify
+from symconn.problemfile import build_config, parse_problem
+from symconn.verify import _sort_and_conjugate, run_verify
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -83,3 +87,22 @@ def test_full_corpus_agreement():
     assert rep["agreement_rate"] == f"{rep['total_queries']}/{rep['total_queries']}"
     assert rep["expectation_failures"] == []
     assert rep["seconds"] > 0
+
+
+# SHA-256 over the sorted-key JSON of every certificate below, one per line.
+# Performance work must leave it alone: a changed digest means a changed
+# certificate, not a faster one.
+GOLDEN_DIGEST = "175cc14c6afabb413d98792f0b5813d4bdfb39001c6ca51d4a2dbbc885117475"
+
+
+def test_golden_certificate_digest():
+    digest = hashlib.sha256()
+    for name in ("cubic3-d3.json", "blob4-d3.json", "circle-arcs.json"):
+        pf = parse_problem((FIXTURES / name).read_bytes())
+        eng = Engine(pf.system, build_config(pf.config))
+        for q in pf.queries:
+            xs, ys = _sort_and_conjugate(q.x, q.y)
+            cert = eng.symmetric(xs, ys).certificate
+            digest.update(json.dumps(cert, sort_keys=True).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == GOLDEN_DIGEST
