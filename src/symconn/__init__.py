@@ -4,8 +4,8 @@ A set cut out by symmetric polynomial constraints of degree d <= n can be
 probed through the first d power sums.  The machinery here decides whether
 two points lie in the same connected component by working on the extremal
 faces of the sorted chamber instead of the full n-dimensional space: solve
-for a canonical fiber point, glue face components through a bipartite
-union graph, and walk wall crossings for queries that leave the chamber.
+for a canonical fiber point, glue the components of the face sets where
+they meet, and walk wall crossings for queries that leave the chamber.
 """
 
 from .compositions import (
@@ -81,7 +81,6 @@ from .realroots import (
 from .uniongraph import (
     UnionGraph,
     build_union_graph,
-    graph_components,
     locate_vertex,
 )
 from .vandermonde import (
@@ -137,7 +136,6 @@ __all__ = [
     "face_region",
     "fiber_points",
     "get_engine",
-    "graph_components",
     "inversions",
     "join",
     "locate_vertex",

@@ -164,8 +164,7 @@ def _cmd_graph(args) -> int:
         vertices.append(
             {
                 "index": k,
-                "side": v.side,
-                "sets": [p + 1 for p in v.pair],
+                "set": v.face + 1,
                 "representative": [str(c) for c in v.representative],
                 "representative_decimal": [
                     round(float(c), 9) for c in v.representative

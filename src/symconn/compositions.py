@@ -9,7 +9,6 @@ combinatorics; positions and wall indices are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -162,21 +161,6 @@ def precedes(lam: Composition, mu: Composition) -> bool:
     if lam.n != mu.n:
         raise DomainError("precedes needs compositions of the same n")
     return mu.breaks() <= lam.breaks()
-
-
-def multiplicity_composition(x: Sequence[Fraction]) -> Composition:
-    """Run lengths of equal consecutive entries (sortedness not required)."""
-    if len(x) == 0:
-        raise DomainError("empty vector has no multiplicity composition")
-    parts, run = [], 1
-    for i in range(1, len(x)):
-        if x[i] == x[i - 1]:
-            run += 1
-        else:
-            parts.append(run)
-            run = 1
-    parts.append(run)
-    return Composition(tuple(parts))
 
 
 def merge_at_wall(lam: Composition, i: int) -> Composition:

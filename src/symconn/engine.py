@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .compositions import (
-    Composition,
     composition,
     embed,
     extremal_compositions,
@@ -43,7 +42,7 @@ from .compositions import (
     sorting_transpositions,
 )
 from .errors import PreconditionError, SolverError
-from .oracle import OracleConfig, face_region, resolve_region, sample_components
+from .oracle import OracleConfig, face_region, sample_components
 from .polynomials import (
     FaceSystem,
     SymmetricSystem,
@@ -51,7 +50,7 @@ from .polynomials import (
     restrict,
     vandermonde_map,
 )
-from .uniongraph import UnionGraph, build_union_graph, graph_components, locate_vertex
+from .uniongraph import UnionGraph, build_union_graph, locate_vertex
 from .vandermonde import min_canonical
 
 __all__ = [
@@ -110,8 +109,7 @@ def _summary_json(s) -> dict:
 def _vertex_json(g: UnionGraph, idx: int) -> dict:
     v = g.vertices[idx]
     return {
-        "side": v.side,
-        "sets": [p + 1 for p in v.pair],
+        "set": v.face + 1,
         "representative": _point_json(v.representative),
         "representative_decimal": _decimal_json(v.representative),
         "component": g.labels[idx],
@@ -233,9 +231,7 @@ class Engine:
         return data
 
     def _locate(self, data: dict) -> int:
-        g = self.graph()
-        v = locate_vertex(g, data["rational"], data["home"], self.cfg)
-        return g.vertices.index(v)
+        return locate_vertex(self.graph(), data["rational"], data["home"])
 
     def _canonical_json(self, data: dict, idx: int) -> dict:
         g = self.graph()
@@ -252,10 +248,10 @@ class Engine:
         """Graph summary, built once; every certificate shares it."""
         if self._graph_summary is None:
             g = self.graph()
-            res = []
-            for f in self.faces():
-                summ = resolve_region(face_region(f), self.cfg).summary()
-                res.append({"face": list(f.lam.parts), **_summary_json(summ)})
+            res = [
+                {"face": list(f.lam.parts), **_summary_json(r.summary())}
+                for f, r in zip(g.faces, g.resolutions)
+            ]
             self._graph_summary = {
                 "vertices": len(g.vertices),
                 "edges": len(g.edges),

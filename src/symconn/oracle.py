@@ -54,12 +54,7 @@ Atom = tuple[ExpandedPoly, Relation]
 
 @dataclass(frozen=True)
 class Region:
-    """Membership predicate on a box: all of `requires`, none of `excludes`.
-
-    Each entry of `excludes` is itself a conjunction of atoms; a point is
-    excluded when every atom of that entry holds.  This is exactly the
-    shape a set difference needs.  An empty entry excludes everything
-    (the empty conjunction is the whole space).
+    """Membership predicate on a box: the conjunction of `requires`.
 
     `eq_delta`, when set, pins the EQ slab width for this region and
     overrides the config policy.
@@ -68,7 +63,6 @@ class Region:
     dim: int
     requires: tuple[Atom, ...]
     box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    excludes: tuple[tuple[Atom, ...], ...] = ()
     eq_delta: Fraction | None = None
 
     def __post_init__(self):
@@ -82,10 +76,6 @@ class Region:
         for poly, _ in self.requires:
             if poly.nvars != self.dim:
                 raise DomainError("constraint arity differs from region dimension")
-        for group in self.excludes:
-            for poly, _ in group:
-                if poly.nvars != self.dim:
-                    raise DomainError("excluded constraint arity differs from region dimension")
         if self.eq_delta is not None and self.eq_delta < 0:
             raise DomainError("eq_delta must be nonnegative")
 
@@ -138,14 +128,6 @@ def _effective_delta(region: Region, cfg: OracleConfig, h: Fraction) -> Fraction
     return h
 
 
-def _cell_atom_holds(rel: Relation, value: Fraction, delta: Fraction, margin: Fraction) -> bool:
-    if rel is Relation.EQ:
-        return abs(value) <= delta
-    if rel is Relation.GT:
-        return value >= margin
-    return value >= 0
-
-
 _REL_TEXT = {Relation.GE: ">= 0", Relation.EQ: "= 0", Relation.GT: "> 0"}
 
 
@@ -180,8 +162,8 @@ def point_feasible(
     """Test a rational point against the predicate with query-side slack.
 
     Returns (ok, reason).  The reason names the first violated
-    constraint, or the excluded set the point fell into.  `h` selects
-    the pitch whose tolerances apply; default is the starting pitch.
+    constraint.  `h` selects the pitch whose tolerances apply; default
+    is the starting pitch.
     """
     if len(x) != region.dim:
         raise PreconditionError(
@@ -190,7 +172,6 @@ def point_feasible(
     pt = tuple(Fraction(v) for v in x)
     h = cfg.h if h is None else h
     delta = _effective_delta(region, cfg, h)
-    margin = h * cfg.gt_gamma
     lo, hi = region.box
     for k in range(region.dim):
         if not lo[k] <= pt[k] <= hi[k]:
@@ -203,9 +184,6 @@ def point_feasible(
             return False, (
                 f"constraint {format_poly(poly)} {_REL_TEXT[rel]} fails, value {v}"
             )
-    for j, group in enumerate(region.excludes):
-        if all(_cell_atom_holds(rel, poly.eval(pt), delta, margin) for poly, rel in group):
-            return False, f"point lies in excluded set {j + 1}"
     return True, ""
 
 
@@ -222,8 +200,9 @@ class _Grid:
     Cells are tested in integer arithmetic.  Every cell center is a / D
     for one common denominator D, and an atom g of total degree t is
     compiled to the integer polynomial L * D^t * g, where L clears its
-    coefficient denominators; each `_cell_atom_holds` test then compares
-    integers against a threshold scaled by the same L * D^t.
+    coefficient denominators; each cell test of the module docstring
+    (g >= 0, |g| <= delta, g >= gamma * pitch) then compares integers
+    against a threshold scaled by the same L * D^t.
     """
 
     def __init__(self, region: Region, cfg: OracleConfig, h: Fraction):
@@ -306,7 +285,6 @@ class _Grid:
             return abs(g) * den <= threshold if eq else g * den >= threshold
 
         req = [compile_atom(a) for a in requires]
-        exc = [[compile_atom(a) for a in group] for group in region.excludes]
 
         def ok(idx: tuple[int, ...]) -> bool:
             # a plain loop: every cell passes here, and a generator per
@@ -314,7 +292,7 @@ class _Grid:
             for atom in req:
                 if not holds(atom, idx):
                     return False
-            return not any(all(holds(a, idx) for a in group) for group in exc)
+            return True
 
         if sorted_walk:
             cells = itertools.combinations_with_replacement(range(m[0]), region.dim)

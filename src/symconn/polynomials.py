@@ -290,10 +290,6 @@ class SymmetricSystem:
         if any(a > b for a, b in zip(lo, hi)):
             raise DomainError("box has lo > hi")
 
-    def box_uniform(self) -> bool:
-        lo, hi = self.box
-        return len(set(lo)) == 1 and len(set(hi)) == 1
-
     def box_contains(self, x: Sequence) -> bool:
         lo, hi = self.box
         xs = [Fraction(v) for v in x]
@@ -349,14 +345,6 @@ class FaceSystem:
                 - ExpandedPoly.variable(self.dim, k)
             )
         return out
-
-    def eval_constraints(
-        self, z: Sequence, eq_tol: Fraction = Fraction(0)
-    ) -> bool:
-        for poly, rel in self.constraints:
-            if not rel.holds(poly.eval(z), eq_tol):
-                return False
-        return True
 
 
 def restrict(sys: SymmetricSystem, lam: Composition | Sequence[int]) -> FaceSystem:

@@ -585,16 +585,6 @@ class AlgebraicPoint:
         )
 
 
-def lift_rational(x: Sequence) -> AlgebraicPoint:
-    """Exact rational vector as a (degenerate) algebraic point."""
-    return AlgebraicPoint(
-        q=UniPoly.variable(),
-        q0=UniPoly.constant(1),
-        coords=tuple(UniPoly.constant(Fraction(c)) for c in x),
-        code=(1,),
-    )
-
-
 class AlgebraicValue:
     """A real algebraic number: a vanishing polynomial plus a refiner.
 

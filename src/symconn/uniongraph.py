@@ -1,23 +1,24 @@
-"""Bipartite component graph over a family of face sets.
+"""Component graph over a family of face sets, glued where they meet.
 
-Given face systems S_1..S_k, the graph holds one A-vertex per sampled
-component of every ordered difference S_i minus S_j, one B-vertex per
-sampled component of every unordered intersection S_i and S_j, and an
-edge between an A-vertex and a B-vertex whenever they share a set S_i
-and the oracle connects their representatives inside S_i.  Components of
-this graph mirror the components of the union of the S_i.
+Every face set S_i = S and L_lam and the sorted chamber is closed in S,
+since L_lam is a closed linear subspace, so it is closed in the finite
+union of the S_i.  For finitely many closed sets the components of the
+union are the classes of the relation "these components meet": a path
+in the union that leaves one component must enter another at a point
+of both.  The graph therefore holds one vertex per sampled component of
+each S_i, and an edge between a component of S_i and a component of S_j
+whenever a sampled component of S_i and S_j lies in both.  Its
+components mirror the components of the union.
 
-Differences are sampled in the coordinates of their first operand, with
-membership in the second operand expressed as an excluded conjunction.
 Intersections are sampled on the join composition, where both operands
 restrict to a common lower-dimensional coordinate system.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .compositions import Composition, composition, embed, join, precedes
@@ -25,6 +26,7 @@ from .errors import DomainError, LocateFailure, PreconditionError
 from .oracle import (
     OracleConfig,
     Region,
+    RegionResolution,
     face_region,
     point_feasible,
     resolve_region,
@@ -35,34 +37,34 @@ from .polynomials import ExpandedPoly, FaceSystem, Relation, block_substitute
 
 @dataclass(frozen=True)
 class ComponentVertex:
-    """One sampled component of a difference (side A) or intersection (side B).
+    """One sampled component of the face set `faces[face]`.
 
-    `pair` holds indices into the face list: ordered (i, j) for S_i minus
-    S_j, sorted for S_i and S_j, and (i, i) for the single-face graph.
-    The representative lives in ambient coordinates; `home` lists the
-    composition(s) whose face sets contain it.
+    The representative lives in ambient coordinates.
     """
 
-    side: str
-    pair: tuple[int, int]
+    face: int
     representative: tuple[Fraction, ...]
-    home: tuple[Composition, ...]
 
 
 @dataclass(frozen=True)
 class UnionGraph:
+    """Face components and the edges that glue them.
+
+    Vertices are grouped by face: class c of `resolutions[i]`, the grid
+    of face i's region, is vertex `face_starts[i] + c`.
+    """
+
     faces: tuple[FaceSystem, ...]
     vertices: tuple[ComponentVertex, ...]
     edges: tuple[tuple[int, int], ...]
     labels: tuple[int, ...]
+    resolutions: tuple[RegionResolution, ...]
+    face_starts: tuple[int, ...]
     cfg: OracleConfig
 
     @property
     def component_count(self) -> int:
         return max(self.labels) + 1 if self.labels else 0
-
-    def side_indices(self, side: str) -> list[int]:
-        return [k for k, v in enumerate(self.vertices) if v.side == side]
 
 
 def face_coordinates(lam: Composition, x: Sequence) -> tuple[Fraction, ...]:
@@ -92,59 +94,6 @@ def _quotient(lam: Composition, mu: Composition) -> Composition:
         elif t < len(ends) and tot > ends[t]:
             raise DomainError("mu does not merge whole blocks of lam")
     return composition(parts)
-
-
-def _spread(poly: ExpandedPoly, positions: Sequence[int], nvars: int) -> ExpandedPoly:
-    """Reindex variables: variable t of poly moves to slot positions[t]."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in poly.terms.items():
-        new = [0] * nvars
-        for t, e in enumerate(exp):
-            if e:
-                new[positions[t] - 1] = e
-        key = tuple(new)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return ExpandedPoly(nvars, terms)
-
-
-def _membership_atoms(fi: FaceSystem, fj: FaceSystem) -> tuple:
-    """Atoms over fi's coordinates holding exactly on points of fj's face set.
-
-    A point of fi's face lies in fj's face set iff it is constant on the
-    blocks of the join (EQ collapse atoms) and satisfies fj's constraints
-    there (re-expressed on the join, then pulled back to fi coordinates).
-    """
-    mu = join(fi.lam, fj.lam)
-    ell = fi.lam.length
-    atoms = []
-    mub = mu.breaks()
-    acc = 0
-    for k in range(ell - 1):
-        acc += fi.lam.parts[k]
-        if acc not in mub:
-            collapse = ExpandedPoly.variable(ell, k + 2) - ExpandedPoly.variable(ell, k + 1)
-            atoms.append((collapse, Relation.EQ))
-    qi = _quotient(fi.lam, mu)
-    starts = []
-    s = 1
-    for p in qi.parts:
-        starts.append(s)
-        s += p
-    qj = _quotient(fj.lam, mu)
-    for poly, rel in fj.constraints:
-        atoms.append((_spread(block_substitute(poly, qj), starts, ell), rel))
-    return tuple(atoms)
-
-
-def difference_region(fi: FaceSystem, fj: FaceSystem) -> Region:
-    """S_i minus S_j in fi's block coordinates."""
-    base = face_region(fi)
-    return Region(
-        dim=base.dim,
-        requires=base.requires,
-        box=base.box,
-        excludes=base.excludes + (_membership_atoms(fi, fj),),
-    )
 
 
 def _box_on(face: FaceSystem, mu: Composition):
@@ -181,26 +130,22 @@ def intersection_region(fi: FaceSystem, fj: FaceSystem) -> tuple[Region, Composi
     return Region(dim=ell, requires=tuple(req), box=(blo, bhi)), mu
 
 
-def _vertex_region(g: UnionGraph, v: ComponentVertex) -> tuple[Region, Composition]:
-    i, j = v.pair
-    if v.side == "A":
-        return difference_region(g.faces[i], g.faces[j]), g.faces[i].lam
-    if i == j:
-        return face_region(g.faces[i]), g.faces[i].lam
-    made = intersection_region(g.faces[i], g.faces[j])
-    if made is None:
-        raise AssertionError("stored B-vertex has an empty intersection box")
-    return made
+def _face_classes(res: RegionResolution, lam: Composition, x: Sequence) -> frozenset[int]:
+    """Classes of a face region holding the ambient point x.
+
+    x must pass the face predicate with the query-side slack of the final
+    pitch; the classes are those of its cell or, when that cell is
+    infeasible, of its feasible face neighbors.
+    """
+    xp = face_coordinates(lam, x)
+    good, _ = point_feasible(res.region, xp, res.cfg, res.h)
+    return res.point_classes(xp) if good else frozenset()
 
 
 def build_union_graph(
     faces: Sequence[FaceSystem], cfg: OracleConfig | None = None
 ) -> UnionGraph:
-    """Sample differences and intersections, then wire the bipartite edges.
-
-    A single face system degenerates to its components as isolated
-    B-vertices, there being no pairs to difference.
-    """
+    """Sample every face set, then glue components through intersections."""
     cfg = cfg or OracleConfig()
     faces = tuple(faces)
     if not faces:
@@ -209,132 +154,75 @@ def build_union_graph(
     if any(f.n != n for f in faces):
         raise DomainError("face systems must share the ambient dimension")
     vertices: list[ComponentVertex] = []
-    if len(faces) == 1:
-        lam = faces[0].lam
-        for z in sample_components(face_region(faces[0]), cfg):
-            vertices.append(ComponentVertex("B", (0, 0), embed(lam, z), (lam,)))
-        return _finish(faces, tuple(vertices), (), cfg)
-    k = len(faces)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            lam = faces[i].lam
-            for z in sample_components(difference_region(faces[i], faces[j]), cfg):
-                vertices.append(ComponentVertex("A", (i, j), embed(lam, z), (lam,)))
-    for i in range(k):
-        for j in range(i + 1, k):
-            made = intersection_region(faces[i], faces[j])
-            if made is None:
-                continue
-            region, mu = made
-            for z in sample_components(region, cfg):
-                vertices.append(
-                    ComponentVertex(
-                        "B", (i, j), embed(mu, z), (faces[i].lam, faces[j].lam)
-                    )
-                )
-    edges: list[tuple[int, int]] = []
-    for ua, u in enumerate(vertices):
-        if u.side != "A":
+    first: list[int] = []
+    resolutions: list[RegionResolution] = []
+    for i, face in enumerate(faces):
+        region = face_region(face)
+        first.append(len(vertices))
+        vertices.extend(
+            ComponentVertex(i, embed(face.lam, z)) for z in sample_components(region, cfg)
+        )
+        resolutions.append(resolve_region(region, cfg))
+    edges: set[tuple[int, int]] = set()
+    for i, j in combinations(range(len(faces)), 2):
+        made = intersection_region(faces[i], faces[j])
+        if made is None:
             continue
-        s = u.pair[0]
-        for wb, w in enumerate(vertices):
-            if w.side != "B" or s not in w.pair:
-                continue
-            face = faces[s]
-            res = resolve_region(face_region(face), cfg)
-            up = face_coordinates(face.lam, u.representative)
-            wp = face_coordinates(face.lam, w.representative)
-            if res.connected_points(up, wp):
-                edges.append((ua, wb))
-    return _finish(faces, tuple(vertices), tuple(edges), cfg)
-
-
-def _finish(faces, vertices, edges, cfg) -> UnionGraph:
-    g = UnionGraph(faces=faces, vertices=vertices, edges=edges, labels=(), cfg=cfg)
-    labels = graph_components(g)
+        region, mu = made
+        for z in sample_components(region, cfg):
+            x = embed(mu, z)
+            us = _face_classes(resolutions[i], faces[i].lam, x)
+            ws = _face_classes(resolutions[j], faces[j].lam, x)
+            edges.update((first[i] + u, first[j] + w) for u in us for w in ws)
+    adj: list[list[int]] = [[] for _ in vertices]
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    labels = [-1] * len(vertices)
+    comp = 0
+    for v in range(len(vertices)):
+        if labels[v] >= 0:
+            continue
+        labels[v] = comp
+        stack = [v]
+        while stack:
+            for b in adj[stack.pop()]:
+                if labels[b] < 0:
+                    labels[b] = comp
+                    stack.append(b)
+        comp += 1
     return UnionGraph(
         faces=faces,
-        vertices=vertices,
-        edges=edges,
-        labels=tuple(labels[v] for v in range(len(vertices))),
+        vertices=tuple(vertices),
+        edges=tuple(sorted(edges)),
+        labels=tuple(labels),
+        resolutions=tuple(resolutions),
+        face_starts=tuple(first),
         cfg=cfg,
     )
 
 
-def graph_components(g: UnionGraph) -> dict[int, int]:
-    """Component id per vertex index, ids ordered by first appearance.
-
-    Vertices carrying the same representative point count as one node:
-    the ordered-pair loop samples a difference component once per second
-    index, and those duplicates are literally the same point of the
-    union.  Collapsing them keeps the edge set bipartite while making
-    the component count match the union even when a set meets no other.
-    """
-    adj = defaultdict(list)
-    for u, w in g.edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    first_with_rep: dict[tuple, int] = {}
-    for v, vert in enumerate(g.vertices):
-        f = first_with_rep.setdefault(vert.representative, v)
-        if f != v:
-            adj[f].append(v)
-            adj[v].append(f)
-    labels: dict[int, int] = {}
-    comp = 0
-    for v in range(len(g.vertices)):
-        if v in labels:
-            continue
-        stack = [v]
-        labels[v] = comp
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b not in labels:
-                    labels[b] = comp
-                    stack.append(b)
-        comp += 1
-    return labels
-
-
-def locate_vertex(
-    g: UnionGraph,
-    x: Sequence,
-    lam_home: Composition,
-    cfg: OracleConfig | None = None,
-) -> ComponentVertex:
-    """Find a vertex whose sampled region holds x, searching side A first.
+def locate_vertex(g: UnionGraph, x: Sequence, lam_home: Composition) -> int:
+    """Index of a vertex whose component holds x.
 
     x is an ambient point of the face set of lam_home: weakly increasing
-    and constant on lam_home's blocks.  Each vertex is tried inside its
-    own defining region (difference or intersection), so a point lying in
-    every pairwise intersection matches no A-vertex and falls through to
-    side B.  When nothing connects, sampling missed x's component and
-    LocateFailure reports the refinement advice.
+    and constant on lam_home's blocks.  Only the faces whose sets contain
+    lam_home's face are tried, in order, and within a face the lowest
+    class holding x wins.  When no class holds x, sampling missed x's
+    component and LocateFailure reports the refinement advice.
     """
-    cfg = cfg or g.cfg
     xs = tuple(Fraction(v) for v in x)
     if list(xs) != sorted(xs):
         raise PreconditionError("query point must be weakly increasing")
     for start, p in zip(lam_home.block_starts(), lam_home.parts):
         if any(xs[start - 1] != xs[start - 1 + t] for t in range(p)):
             raise PreconditionError("query point is not constant on its home face blocks")
-    order = g.side_indices("A") + g.side_indices("B")
-    for kv in order:
-        v = g.vertices[kv]
-        region, lam = _vertex_region(g, v)
-        if not precedes(lam, lam_home):
+    for face, res, first in zip(g.faces, g.resolutions, g.face_starts):
+        if not precedes(face.lam, lam_home):
             continue
-        xp = face_coordinates(lam, xs)
-        res = resolve_region(region, cfg)
-        good, _ = point_feasible(region, xp, cfg, res.h)
-        if not good:
-            continue
-        vp = face_coordinates(lam, v.representative)
-        if res.connected_points(vp, xp):
-            return v
+        classes = _face_classes(res, face.lam, xs)
+        if classes:
+            return first + min(classes)
     raise LocateFailure(
         "no graph vertex connects to the query point",
         advice="refine the oracle grid: smaller starting pitch or a higher depth cap",

@@ -418,16 +418,6 @@ def verify_fiber_point(
     return True
 
 
-def point_in_box(pt: AlgebraicPoint, lo: Sequence, hi: Sequence) -> bool:
-    """Exact per-coordinate containment in [lo_k, hi_k]."""
-    for k in range(pt.dim):
-        if pt.coordinate_sign(k, offset=Fraction(lo[k])) < 0:
-            return False
-        if pt.coordinate_sign(k, offset=Fraction(hi[k])) > 0:
-            return False
-    return True
-
-
 # -- fiber minimizer ---------------------------------------------------------
 
 

@@ -145,7 +145,7 @@ def test_graph_dump(capsys):
     doc = json.loads(out)
     assert doc["components"] == 1
     assert doc["faces"] == [[1, 1]]
-    assert all(v["side"] in ("A", "B") for v in doc["vertices"])
+    assert [v["set"] for v in doc["vertices"]] == [1]
 
 
 def test_graph_empty_system(capsys):

@@ -17,7 +17,6 @@ from symconn.compositions import (
     inversions,
     join,
     merge_at_wall,
-    multiplicity_composition,
     precedes,
     sorting_transpositions,
 )
@@ -25,6 +24,21 @@ from symconn.errors import DomainError
 
 
 def C(*parts):
+    return Composition(tuple(parts))
+
+
+def multiplicity_composition(x):
+    """Run lengths of equal consecutive entries (sortedness not required)."""
+    if len(x) == 0:
+        raise DomainError("empty vector has no multiplicity composition")
+    parts, run = [], 1
+    for i in range(1, len(x)):
+        if x[i] == x[i - 1]:
+            run += 1
+        else:
+            parts.append(run)
+            run = 1
+    parts.append(run)
     return Composition(tuple(parts))
 
 

@@ -13,13 +13,14 @@ from symconn.engine import (
     get_engine,
 )
 from symconn.errors import PreconditionError
-from symconn.oracle import OracleConfig
+from symconn.oracle import OracleConfig, face_region, sample_components
 from symconn.polynomials import (
     Constraint,
     PowerSumPoly,
     Relation,
     SymmetricSystem,
     make_box,
+    restrict,
 )
 
 
@@ -195,7 +196,7 @@ def test_orbit_certificate_structure():
     assert c["faces"] == [[1, 2]]
     assert c["x_canonical"]["type"] == [3]
     assert c["y_canonical"]["face"] == [1, 2]
-    assert c["x_canonical"]["vertex"]["side"] == "B"
+    assert c["x_canonical"]["vertex"]["set"] == 1
     for entry in c["graph"]["resolutions"]:
         assert entry["stabilized"] is True
 
@@ -214,16 +215,53 @@ def test_engine_instances_cached():
     assert get_engine(ball3()) is not get_engine(split3())
 
 
-@pytest.mark.parametrize("n,shape", [(5, (2, 4, 3, 1)), (6, (3, 11, 16, 1))])
+def d4_system(n, *polys):
+    # every poly >= 0 on [-1, 1]^n, with polys given as {(e1, e2, e3, e4): c}
+    cons = tuple(Constraint(PowerSumPoly(4, p), Relation.GE) for p in polys)
+    return SymmetricSystem(n=n, d=4, constraints=cons, box=make_box(n, -1, 1))
+
+
+BALL4 = {(0, 0, 0, 0): F(1), (0, 1, 0, 0): F(-1)}
+D4CFG = OracleConfig(h=F(1, 4), max_depth=1)
+
+
+@pytest.mark.parametrize("n,shape", [(5, (2, 2, 1, 1)), (6, (3, 3, 3, 1))])
 def test_ball_d4_union_graph_glues_faces(n, shape):
     # 1 - p2 >= 0 with d = 4 has several extremal faces; the ball is
     # convex, so the glued union graph has a single component
-    poly = PowerSumPoly(4, {(0, 0, 0, 0): F(1), (0, 1, 0, 0): F(-1)})
-    sys = SymmetricSystem(
-        n=n, d=4, constraints=(Constraint(poly, Relation.GE),), box=make_box(n, -1, 1)
-    )
-    g = Engine(sys, OracleConfig(h=F(1, 4), max_depth=1)).graph()
+    g = Engine(d4_system(n, BALL4), D4CFG).graph()
     assert (len(g.faces), len(g.vertices), len(g.edges), g.component_count) == shape
+
+
+def test_ball_d4_union_graph_at_default_depth():
+    # every face region of the ball stabilizes at the first refinement
+    eng = Engine(d4_system(5, BALL4))
+    g = eng.graph()
+    assert (len(g.faces), len(g.vertices), len(g.edges), g.component_count) == (2, 2, 1, 1)
+    assert all(r["stabilized"] for r in eng._graph_json()["resolutions"])
+
+
+D4_SYSTEMS = {
+    "ball": (BALL4,),
+    "shell": (BALL4, {(0, 1, 0, 0): F(1), (0, 0, 0, 0): F(-1, 4)}),
+    "split": (BALL4, {(2, 0, 0, 0): F(1), (0, 0, 0, 0): F(-1, 4)}),
+    "p4-below-p2sq": ({(0, 0, 0, 1): F(-2), (0, 2, 0, 0): F(1), (0, 0, 0, 0): F(-1, 8)},),
+    "p4-above-p2sq": ({(0, 0, 0, 1): F(1), (0, 2, 0, 0): F(-1, 4), (0, 0, 0, 0): F(-1, 16)},),
+}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("name", sorted(D4_SYSTEMS))
+def test_d4_graph_components_match_sorted_slice(name, n):
+    # the glued face graph must count the components of the whole sorted
+    # slice, which the grid on the (1, ..., 1) face samples directly
+    sys = d4_system(n, *D4_SYSTEMS[name])
+    g = Engine(sys, D4CFG).graph()
+    assert len(g.faces) >= 2
+    slice_reps = sample_components(face_region(restrict(sys, (1,) * n)), D4CFG)
+    assert g.component_count == len(slice_reps)
+    if name == "split":
+        assert g.component_count == 2
 
 
 def test_ball_d4_orbit_query():

@@ -265,20 +265,14 @@ def test_full_space_region_matches_membership():
         assert ok == sys.eval_membership(x)[0]
 
 
-def test_exclusion_builds_set_difference():
-    # S1 = [0,2], S2 = [1,3]; S1 minus S2 = [0,1), S1 and S2 = [1,2]
+def test_conjunction_builds_intersection():
+    # S1 = [0,2], S2 = [1,3]; S1 and S2 = [1,2]
     x = var(1, 1)
     s1 = ((x, Relation.GE), (x.scale(-1) + 2, Relation.GE))
     s2 = ((x - 1, Relation.GE), (x.scale(-1) + 3, Relation.GE))
-    diff = Region(dim=1, requires=s1, excludes=(s2,), box=interval_box(-1, 4))
     inter = Region(dim=1, requires=s1 + s2, box=interval_box(-1, 4))
-    dreps = sample_components(diff)
     ireps = sample_components(inter)
-    assert len(dreps) == 1 and 0 <= dreps[0][0] < 1
     assert len(ireps) == 1 and 1 <= ireps[0][0] <= 2
-    bad = point_feasible(diff, (F(3, 2),), OracleConfig())
-    assert bad[0] is False
-    assert "excluded set 1" in bad[1]
 
 
 # -- differential check of the grid kernel ------------------------------------
@@ -316,9 +310,7 @@ def reference_classes(region, cfg, h):
     feasible = set()
     for idx in itertools.product(*(range(len(c)) for c in centers)):
         c = tuple(axis[i] for axis, i in zip(centers, idx))
-        if all(atom_holds(p, r, c) for p, r in region.requires) and not any(
-            all(atom_holds(p, r, c) for p, r in group) for group in region.excludes
-        ):
+        if all(atom_holds(p, r, c) for p, r in region.requires):
             feasible.add(idx)
     label, reps = {}, []
     for idx in itertools.product(*(range(len(c)) for c in centers)):
@@ -376,14 +368,9 @@ def random_region(rng, dim, chamber, uniform, zero_span):
     requires = [random_atom(rng, dim) for _ in range(rng.randint(1, 2))]
     if chamber:
         requires += [(var(dim, k + 1) - var(dim, k), Relation.GE) for k in range(1, dim)]
-    excludes = tuple(
-        tuple(random_atom(rng, dim) for _ in range(rng.randint(1, 2)))
-        for _ in range(rng.randint(0, 2))
-    )
     eq_delta = rng.choice((None, None, F(1, 3), F(2, 5)))
     return Region(
-        dim=dim, requires=tuple(requires), box=(tuple(lo), tuple(hi)),
-        excludes=excludes, eq_delta=eq_delta,
+        dim=dim, requires=tuple(requires), box=(tuple(lo), tuple(hi)), eq_delta=eq_delta
     )
 
 
@@ -425,22 +412,22 @@ def test_grid_kernel_matches_fraction_reference(chamber, uniform, zero_span):
 
 
 @pytest.mark.parametrize("rel", [Relation.GE, Relation.EQ, Relation.GT])
-@pytest.mark.parametrize("excluded", [False, True])
+@pytest.mark.parametrize("from_config", [False, True])
 @pytest.mark.parametrize("chamber", [False, True])
-def test_grid_kernel_matches_reference_on_exact_ties(rel, excluded, chamber):
+def test_grid_kernel_matches_reference_on_exact_ties(rel, from_config, chamber):
     # centers are k/3 - 1/6 on both axes, so 3/7 * (z2 - z1) takes the
-    # values j/7, and 1/7 is both the EQ slab and the GT margin; the
-    # excluded atom faces the other way so the chamber keeps some cells
-    tie = ((var(2, 2) - var(2, 1)).scale(F(-3, 7) if excluded else F(3, 7)), rel)
+    # values j/7, and 1/7 is both the EQ slab and the GT margin; the slab
+    # width is pinned on the region or, failing that, taken from the config
+    tie = ((var(2, 2) - var(2, 1)).scale(F(3, 7)), rel)
     ball = (ExpandedPoly.constant(2, F(9, 5)) - var(2, 1) ** 2 - var(2, 2) ** 2, Relation.GE)
-    requires = (ball,) if excluded else (ball, tie)
+    requires = (ball, tie)
     if chamber:
         requires += ((var(2, 2) - var(2, 1), Relation.GE),)
     region = Region(
         dim=2, requires=requires, box=((F(-1, 3),) * 2, (F(5, 3),) * 2),
-        excludes=((tie,),) if excluded else (), eq_delta=F(1, 7),
+        eq_delta=None if from_config else F(1, 7),
     )
-    cfg = OracleConfig(gt_gamma=F(3, 7))
+    cfg = OracleConfig(gt_gamma=F(3, 7), eq_delta=F(1, 7) if from_config else None)
     grid = _Grid(region, cfg, F(1, 3))
     cells, reps = reference_classes(region, cfg, F(1, 3))
     assert {idx: grid.class_of_cell(idx) for idx in cells} == cells

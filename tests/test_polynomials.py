@@ -198,7 +198,6 @@ def test_box_contains():
     sys = SymmetricSystem(2, 1, (Constraint(g, Relation.GE),), make_box(2, -1, 1))
     assert sys.box_contains([F(1), F(-1)])
     assert not sys.box_contains([F(3, 2), F(0)])
-    assert sys.box_uniform()
 
 
 def test_restrict_example():
@@ -281,12 +280,3 @@ def test_chamber_polys():
     assert polys[1].eval([0, 3, 5]) == 2
     # singleton face has no ordering constraints
     assert restrict(sys, (4,)).chamber_polys() == []
-
-
-def test_face_eval_constraints():
-    g = PowerSumPoly(2, {(0, 0): 1, (0, 1): -1})  # 1 - Z_2 >= 0
-    sys = SymmetricSystem(3, 2, (Constraint(g, Relation.GE),), make_box(3, -2, 2))
-    face = restrict(sys, (2, 1))
-    assert face.eval_constraints([0, 0])
-    assert face.eval_constraints([F(1, 2), F(1, 2)])  # 2/4+1/4 = 3/4 <= 1
-    assert not face.eval_constraints([1, 1])  # 2+1 = 3 > 1

@@ -14,7 +14,6 @@ from symconn.realroots import (
     divmod_poly,
     find_root,
     isolate_real_roots,
-    lift_rational,
     poly_gcd,
     rational_function_interval,
     real_roots,
@@ -210,8 +209,18 @@ def test_refine_worked_example():
     assert abs(float(approx[1]) - 1.1464466094) < 1e-6
 
 
+def rational_point(x):
+    """An exact rational vector as a degenerate algebraic point."""
+    return AlgebraicPoint(
+        q=UniPoly.variable(),
+        q0=UniPoly.constant(1),
+        coords=tuple(UniPoly.constant(Fraction(c)) for c in x),
+        code=(1,),
+    )
+
+
 def test_refine_rejects_bad_eps():
-    pt = lift_rational([Fraction(1, 3)])
+    pt = rational_point([Fraction(1, 3)])
     with pytest.raises(DomainError):
         pt.refine(0)
 
@@ -224,7 +233,7 @@ def test_algebraic_point_rejects_shared_root():
 
 def test_lift_rational_roundtrip():
     x = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
-    pt = lift_rational(x)
+    pt = rational_point(x)
     assert pt.exact_rational() == x
     for (lo, hi), xi in zip(pt.refine(Fraction(1, 100)), x):
         assert lo <= xi <= hi

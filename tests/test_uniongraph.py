@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from symconn.compositions import composition
+from symconn.compositions import composition, embed, extremal_compositions
 from symconn.errors import DomainError, LocateFailure, PreconditionError
-from symconn.oracle import OracleConfig
+from symconn.oracle import OracleConfig, face_region, resolve_region, sample_components
 from symconn.polynomials import (
     Constraint,
     ExpandedPoly,
@@ -20,9 +20,10 @@ from symconn.polynomials import (
     restrict,
 )
 from symconn.uniongraph import (
+    _face_classes,
     build_union_graph,
     face_coordinates,
-    graph_components,
+    intersection_region,
     locate_vertex,
 )
 
@@ -39,36 +40,65 @@ def two_intervals():
     return [interval_face(0, 2), interval_face(1, 3)]
 
 
+def check_invariants(g):
+    """Properties every union graph must have, whatever its faces."""
+    cfg = g.cfg
+    res = [resolve_region(face_region(f), cfg) for f in g.faces]
+    assert len(g.vertices) == sum(r.class_count for r in res)
+    assert g.face_starts == tuple(itertools.accumulate([0] + [r.class_count for r in res[:-1]]))
+    assert len(g.labels) == len(g.vertices)
+    for u, w in g.edges:
+        assert u < w
+        assert g.vertices[u].face < g.vertices[w].face
+        assert g.labels[u] == g.labels[w]
+    for k, v in enumerate(g.vertices):
+        # a vertex locates to itself, unless an earlier face contains the
+        # same point, in which case it locates into the same component
+        u = locate_vertex(g, v.representative, g.faces[v.face].lam)
+        assert u == k or g.vertices[u].face < v.face
+        assert g.labels[u] == g.labels[k]
+    # every sampled intersection point lies in a component of both faces
+    for i, j in itertools.combinations(range(len(g.faces)), 2):
+        made = intersection_region(g.faces[i], g.faces[j])
+        if made is None:
+            continue
+        region, mu = made
+        for z in sample_components(region, cfg):
+            x = embed(mu, z)
+            for f in (i, j):
+                assert _face_classes(g.resolutions[f], g.faces[f].lam, x)
+            u = locate_vertex(g, x, mu)
+            assert g.vertices[u].face <= i
+
+
 def test_two_interval_example():
     g = build_union_graph(two_intervals())
-    a = g.side_indices("A")
-    b = g.side_indices("B")
-    assert len(a) == 2 and len(b) == 1
-    assert len(g.edges) == 2
+    assert [v.face for v in g.vertices] == [0, 1]
+    assert 0 <= g.vertices[0].representative[0] <= 2
+    assert 1 <= g.vertices[1].representative[0] <= 3
+    assert g.edges == ((0, 1),)
     assert g.component_count == 1
-    rep01 = g.vertices[a[0]].representative
-    rep10 = g.vertices[a[1]].representative
-    assert g.vertices[a[0]].pair == (0, 1) and 0 <= rep01[0] < 1
-    assert g.vertices[a[1]].pair == (1, 0) and 2 < rep10[0] <= 3
-    assert 1 <= g.vertices[b[0]].representative[0] <= 2
+    check_invariants(g)
 
 
-def test_disjoint_faces_have_no_b_side():
+def test_disjoint_faces_have_no_edges():
     g = build_union_graph([interval_face(0, 1), interval_face(2, 3)])
-    assert len(g.side_indices("A")) == 2
-    assert g.side_indices("B") == []
+    assert len(g.vertices) == 2
     assert g.edges == ()
+    assert g.labels == (0, 1)
     assert g.component_count == 2
+    check_invariants(g)
 
 
-def test_equal_faces_leave_only_b_side():
+def test_equal_faces_glue():
     g = build_union_graph([interval_face(0, 2), interval_face(0, 2)])
-    assert g.side_indices("A") == []
-    assert len(g.side_indices("B")) == 1
+    assert len(g.vertices) == 2
+    assert g.edges == ((0, 1),)
     assert g.component_count == 1
+    check_invariants(g)
 
 
-def test_single_face_degenerates_to_isolated_b_vertices():
+def test_single_face_has_isolated_vertices():
     x = ExpandedPoly.variable(1, 1)
     face = FaceSystem(
         lam=composition((1,)),
@@ -78,16 +108,17 @@ def test_single_face_degenerates_to_isolated_b_vertices():
     )
     g = build_union_graph([face])
     assert len(g.vertices) == 2
-    assert all(v.side == "B" and v.pair == (0, 0) for v in g.vertices)
+    assert all(v.face == 0 for v in g.vertices)
     assert g.edges == ()
     assert g.component_count == 2
+    check_invariants(g)
 
 
 def test_edges_are_bipartite():
-    g = build_union_graph(two_intervals())
-    for u, w in g.edges:
-        assert g.vertices[u].side == "A"
-        assert g.vertices[w].side == "B"
+    # components of one face never meet, so every edge joins two faces
+    g = build_union_graph([interval_face(0, 2), interval_face(1, 3), interval_face(5, 6)])
+    assert [(g.vertices[u].face, g.vertices[w].face) for u, w in g.edges] == [(0, 1)]
+    assert g.component_count == 2
 
 
 def test_build_is_deterministic():
@@ -98,29 +129,56 @@ def test_build_is_deterministic():
     assert g1.labels == g2.labels
 
 
-def test_graph_components_edgeless():
-    g = build_union_graph([interval_face(0, 1), interval_face(2, 3)])
-    labels = graph_components(g)
-    assert sorted(labels) == [0, 1]
-    assert labels[0] != labels[1]
-
-
 def test_locate_difference_point():
     g = build_union_graph(two_intervals())
-    v = locate_vertex(g, (F(1, 2),), composition((1,)))
-    assert v.side == "A" and v.pair == (0, 1)
+    assert locate_vertex(g, (F(1, 2),), composition((1,))) == 0
+    assert locate_vertex(g, (F(5, 2),), composition((1,))) == 1
 
 
-def test_locate_intersection_point_falls_back_to_b():
+def test_locate_intersection_point_takes_first_face():
     g = build_union_graph(two_intervals())
-    v = locate_vertex(g, (F(3, 2),), composition((1,)))
-    assert v.side == "B" and v.pair == (0, 1)
+    assert locate_vertex(g, (F(3, 2),), composition((1,))) == 0
 
 
 def test_locate_stored_representative():
     g = build_union_graph(two_intervals())
-    for v in g.vertices:
-        assert locate_vertex(g, v.representative, composition((1,))) == v
+    for k, v in enumerate(g.vertices):
+        u = locate_vertex(g, v.representative, composition((1,)))
+        assert g.labels[u] == g.labels[k]
+
+
+def two_piece_face(lo=-1, hi=9):
+    # -x (x - 1)(x - 4)(x - 5) >= 0: the intervals [0, 1] and [4, 5]
+    x = ExpandedPoly.variable(1, 1)
+    g = (x * (x - 1) * (x - 4) * (x - 5)).scale(-1)
+    return FaceSystem(
+        lam=composition((1,)), n=1, constraints=((g, Relation.GE),), box=((F(lo),), (F(hi),))
+    )
+
+
+def test_glue_picks_the_component_that_meets():
+    # [9/2, 7] meets only the second component of the two-piece face
+    g = build_union_graph([interval_face(F(9, 2), 7), two_piece_face()])
+    assert [v.face for v in g.vertices] == [0, 1, 1]
+    assert g.edges == ((0, 2),)
+    assert g.labels == (0, 1, 0)
+    check_invariants(g)
+
+
+def test_locate_needs_the_point_inside_the_face():
+    # 8 (3 - x) >= 0 misses x = 16/5 by more than the query slack, though
+    # the cell next to x's cell is feasible
+    x = ExpandedPoly.variable(1, 1)
+    face = FaceSystem(
+        lam=composition((1,)),
+        n=1,
+        constraints=((x.scale(-8) + 24, Relation.GE),),
+        box=((F(-1),), (F(9),)),
+    )
+    g = build_union_graph([face])
+    assert locate_vertex(g, (F(3),), composition((1,))) == 0
+    with pytest.raises(LocateFailure):
+        locate_vertex(g, (F(16, 5),), composition((1,)))
 
 
 def test_locate_failure_carries_advice():
@@ -144,22 +202,26 @@ def cross_faces():
 
 def test_cross_composition_graph_shape():
     g = build_union_graph(cross_faces())
-    assert len(g.side_indices("A")) == 2
-    b = g.side_indices("B")
-    assert len(b) == 1
-    # the intersection lives on the join face (3): a diagonal point
-    rep = g.vertices[b[0]].representative
-    assert rep[0] == rep[1] == rep[2]
-    assert len(g.edges) == 2
+    assert [v.face for v in g.vertices] == [0, 1]
+    # the intersection lives on the join face (3), the diagonal, which
+    # lies in both faces
+    region, mu = intersection_region(*cross_faces())
+    assert mu.parts == (3,)
+    assert len(sample_components(region, g.cfg)) == 1
+    assert g.edges == ((0, 1),)
     assert g.component_count == 1
+    check_invariants(g)
+    # neither face contains the other, so every vertex locates to itself
+    for k, v in enumerate(g.vertices):
+        assert locate_vertex(g, v.representative, g.faces[v.face].lam) == k
 
 
 def test_locate_in_cross_composition_graph():
     g = build_union_graph(cross_faces())
-    v = locate_vertex(g, (F(-1, 2), F(-1, 2), F(0)), composition((2, 1)))
-    assert v.side == "A" and v.pair == (0, 1)
-    w = locate_vertex(g, (F(-1, 4), F(-1, 4), F(-1, 4)), composition((3,)))
-    assert w.side == "B"
+    assert locate_vertex(g, (F(-1, 2), F(-1, 2), F(0)), composition((2, 1))) == 0
+    assert locate_vertex(g, (F(-1, 2), F(0), F(0)), composition((1, 2))) == 1
+    # a diagonal point lies in both faces; the first one wins
+    assert locate_vertex(g, (F(-1, 4), F(-1, 4), F(-1, 4)), composition((3,))) == 0
 
 
 def test_locate_rejects_bad_points():
@@ -212,3 +274,22 @@ def test_component_count_matches_interval_arithmetic():
         faces = [interval_face(lo, hi) for lo, hi in ivals]
         g = build_union_graph(faces)
         assert g.component_count == merged_interval_count(ivals)
+        check_invariants(g)
+
+
+def ball_d4(n):
+    poly = PowerSumPoly(4, {(0, 0, 0, 0): F(1), (0, 1, 0, 0): F(-1)})
+    return SymmetricSystem(
+        n=n, d=4, constraints=(Constraint(poly, Relation.GE),), box=make_box(n, -1, 1)
+    )
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_d4_ball_graph_invariants(n):
+    # 2, 3 and 4 extremal faces whose compositions differ
+    sys = ball_d4(n)
+    faces = [restrict(sys, lam) for lam in extremal_compositions(n, 4)]
+    g = build_union_graph(faces, OracleConfig(h=F(1, 4), max_depth=1))
+    assert len(g.faces) == n - 3
+    assert g.component_count == 1
+    check_invariants(g)

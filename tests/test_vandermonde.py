@@ -28,7 +28,6 @@ from symconn.vandermonde import (
     fiber_points,
     min_canonical,
     ordered_real_solutions,
-    point_in_box,
     power_sum_value,
     solve_weighted_system,
     verify_fiber_point,
@@ -167,13 +166,6 @@ def test_roundtrip_random_small_degrees():
         )
         for p in pts:
             assert verify_fiber_point(p, w, a)
-
-
-def test_point_in_box():
-    pts = fiber_points((1, 2), (0, 2))
-    assert point_in_box(pts[0], (-2, -2), (2, 2))
-    assert not point_in_box(pts[0], (0, 0), (2, 2))
-    assert point_in_box(pts[0], (-2, F(1, 2)), (2, 2))
 
 
 def test_min_canonical_worked_example():
