@@ -6,18 +6,21 @@ identity of a root; isolating intervals are kept alongside and shrink on
 demand.  Points in R^m appear as one root plus a tuple of coordinate
 polynomials q_i with x_i = q_i(root) / q_0(root).
 
-All arithmetic is exact (`fractions.Fraction`); sign evaluations clear
-denominators and run over plain integers.
+All arithmetic is exact.  Coefficients are stored as `fractions.Fraction`,
+but the hot kernels (products, division with remainder, sign and interval
+evaluation) clear denominators once and run over Python ints, building one
+`Fraction` per output value.  Greatest common divisors first test
+coprimality modulo the prime 2^61 - 1 and fall back to Euclid over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
-from .errors import DomainError, InvalidCodeError
+from .errors import DomainError, InvalidCodeError, SolverError
 
 Sign = int  # -1, 0, +1
 ThomCode = tuple  # tuple[Sign, ...], signs of (q', q'', ..., q^(deg))
@@ -28,12 +31,16 @@ def _sign(x) -> Sign:
 
 
 class UniPoly:
-    """Univariate polynomial, coefficients low-to-high, exact rationals."""
+    """Univariate polynomial, coefficients low-to-high, exact rationals.
+
+    The coefficients are `Fraction`s; `_integer_form()` caches the integer
+    vector and the positive denominator that the integer kernels work on.
+    """
 
     __slots__ = ("coeffs", "_int_form")
 
     def __init__(self, coeffs: Sequence):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -94,12 +101,15 @@ class UniPoly:
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        a, da = self._integer_form()
+        b, db = other._integer_form()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        den = da * db
+        return UniPoly([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -137,10 +147,11 @@ class UniPoly:
     def _integer_form(self) -> tuple[tuple[int, ...], int]:
         """Integer coefficient vector after clearing denominators."""
         if self._int_form is None:
-            den = 1
-            for c in self.coeffs:
-                den = den * c.denominator // _gcd_int(den, c.denominator)
-            self._int_form = (tuple(int(c * den) for c in self.coeffs), den)
+            den = lcm(*(c.denominator for c in self.coeffs))
+            self._int_form = (
+                tuple(c.numerator * (den // c.denominator) for c in self.coeffs),
+                den,
+            )
         return self._int_form
 
     def sign_at(self, x) -> Sign:
@@ -158,29 +169,35 @@ class UniPoly:
         return _sign(acc)
 
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosure of the value over [lo, hi] by interval Horner."""
-        alo = ahi = Fraction(0)
-        for c in reversed(self.coeffs):
-            alo, ahi = _imul(alo, ahi, lo, hi)
-            alo, ahi = alo + c, ahi + c
-        return alo, ahi
+        """Enclosure of the value over [lo, hi] by interval Horner.
+
+        Runs over integers: with b the common denominator of lo and hi, the
+        accumulator after t steps is kept multiplied by den * b^t.  That
+        positive scale keeps every min/max choice of rational interval
+        Horner, so the enclosure is the same; it is divided out once.
+        """
+        ints, den = self._integer_form()
+        if not ints:
+            return Fraction(0), Fraction(0)
+        b = lcm(lo.denominator, hi.denominator)
+        x0 = lo.numerator * (b // lo.denominator)
+        x1 = hi.numerator * (b // hi.denominator)
+        alo = ahi = 0
+        bp = 1
+        for c in reversed(ints):
+            p00, p01, p10, p11 = alo * x0, alo * x1, ahi * x0, ahi * x1
+            cb = c * bp
+            alo = min(p00, p01, p10, p11) + cb
+            ahi = max(p00, p01, p10, p11) + cb
+            bp *= b
+        scale = den * (bp // b)
+        return Fraction(alo, scale), Fraction(ahi, scale)
 
 
 def _as_poly(v) -> UniPoly:
     if isinstance(v, UniPoly):
         return v
     return UniPoly.constant(v)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _imul(alo, ahi, blo, bhi):
-    vals = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(vals), max(vals)
 
 
 def interval_div(alo, ahi, blo, bhi):
@@ -192,25 +209,83 @@ def interval_div(alo, ahi, blo, bhi):
 
 
 def divmod_poly(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Quotient and remainder over Q, by division over the integer forms.
+
+    With f = F / df and g = G / dg, F is divided by G keeping the running
+    remainder as R / s, R an integer vector and s > 0.  Each step scales R
+    by the part of lead(G) that the top coefficient does not share, so
+    every step stays in integers.
+    """
     if g.is_zero():
         raise DomainError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, f.degree - g.degree + 1)
-    rem = list(f.coeffs)
-    glead = g.leading()
-    gdeg = g.degree
-    for k in range(len(rem) - 1, gdeg - 1, -1):
-        c = rem[k]
-        if c == 0:
+    F, df = f._integer_form()
+    G, dg = g._integer_form()
+    m = len(G) - 1
+    if len(F) <= m:
+        return UniPoly([]), f
+    lead = G[-1]
+    R = list(F)
+    s = 1
+    quo = []  # (numerator, scale) of each quotient coefficient, top first
+    for k in range(len(R) - 1, m - 1, -1):
+        c = R[k]
+        if not c:
+            quo.append((0, 1))
             continue
-        factor = c / glead
-        q[k - gdeg] = factor
-        for j, gc in enumerate(g.coeffs):
-            rem[k - gdeg + j] -= factor * gc
-    return UniPoly(q), UniPoly(rem[:gdeg] if gdeg > 0 else [])
+        h = gcd(c, lead)
+        a, b = lead // h, c // h
+        if a < 0:
+            a, b = -a, -b
+        s *= a
+        if a != 1:
+            R = [a * x for x in R[:k]]
+        base = k - m
+        for j in range(m):
+            R[base + j] -= b * G[j]
+        quo.append((b, s))
+    q = [Fraction(b * dg, t * df) for b, t in reversed(quo)]
+    return UniPoly(q), UniPoly([Fraction(x, s * df) for x in R[:m]])
+
+
+_GCD_PRIME = 2**61 - 1
+
+
+def _coprime_mod_prime(f: UniPoly, g: UniPoly) -> bool:
+    """True when the integer forms of f and g are coprime modulo _GCD_PRIME
+    and neither leading coefficient vanishes there.
+
+    A common factor over Q is, by Gauss's lemma, a primitive integer factor
+    of both integer forms; its leading coefficient divides theirs, so it
+    keeps its degree modulo the prime and the gcd there is not constant.
+    """
+    p = _GCD_PRIME
+    a = [c % p for c in f._integer_form()[0]]
+    b = [c % p for c in g._integer_form()[0]]
+    if not a or not b or not a[-1] or not b[-1]:
+        return False
+    while b:
+        inv = pow(b[-1], -1, p)
+        m = len(b) - 1
+        while len(a) > m:
+            c = a[-1] * inv % p
+            base = len(a) - 1 - m
+            for j in range(m):
+                a[base + j] = (a[base + j] - c * b[j]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor.
+
+    Most calls meet coprime pairs, which the test modulo a prime settles
+    without rational arithmetic; every other pair runs Euclid over Q.
+    """
+    if _coprime_mod_prime(f, g):
+        return UniPoly.constant(1)
     a, b = f, g
     while not b.is_zero():
         a, b = b, divmod_poly(a, b)[1]
@@ -430,7 +505,8 @@ def thom_rooted(q: UniPoly) -> list[tuple[ThomCode, RealRoot]]:
                 code.append(_sign_at_nonexact(dk, r, g))
         out.append((tuple(code), r))
     codes = [c for c, _ in out]
-    assert len(set(codes)) == len(codes), "thom codes must distinguish roots"
+    if len(set(codes)) != len(codes):
+        raise SolverError(f"Thom codes of {sf!r} do not distinguish its roots")
     return out
 
 
@@ -640,9 +716,7 @@ def _separation_bound(p: UniPoly) -> Fraction:
     if m <= 1:
         return Fraction(1)
     ints, _ = sf._integer_form()
-    g = 0
-    for c in ints:
-        g = _gcd_int(g, abs(c))
+    g = gcd(*ints)
     ints = tuple(c // g for c in ints)
     norm_sq = sum(c * c for c in ints)
     norm_up = isqrt(norm_sq) + 1

@@ -10,8 +10,15 @@ Degrees one and two admit closed forms by linear elimination.  Higher degrees
 go through a Groebner basis of the system, computed with normal forms in
 sympy's sparse polynomial ring, multiplication matrices on the quotient, a
 radical-ization pass (adjoining squarefree univariate vanishing polynomials),
-a separating linear form, and trace formulas.  The traces of the separating
-matrix's powers are taken over the integers, with denominators cleared once.
+a separating linear form, and trace formulas.  A border monomial that leads
+a basis element takes its normal form from that element; the others are
+reduced by sympy.
+
+The matrices hold `Fraction`s, but the linear algebra on them clears
+denominators once and runs over Python ints: minimal polynomials come from
+fraction-free (Bareiss) elimination of the integer Krylov iterates, linear
+solves from Bareiss elimination, and the traces of the separating matrix's
+powers from integer matrix products.
 
 Values at a solution, such as the power sum p_{d+1} that `min_canonical`
 minimizes, live in Q[T]/(q): powers are reduced modulo q, and the polynomial
@@ -190,6 +197,15 @@ def _quotient_data(eqs, R):
                 queue.append(nxt)
     D = len(basis)
 
+    # the leading monomial of g has the normal form -(g - LT(g)) / LC(g)
+    # when every tail monomial is standard, as in a reduced basis
+    closed = {}
+    for g in G:
+        lm, lc = g.LM, g.LC
+        tail = [(mon, -c / lc) for mon, c in g.terms() if mon != lm]
+        if all(mon in index for mon, _ in tail):
+            closed[lm] = tail
+
     mats = []
     for i in range(nvars):
         cols = []
@@ -199,7 +215,10 @@ def _quotient_data(eqs, R):
             if nxt in index:
                 col[index[nxt]] = Fraction(1)
             else:
-                for mon2, c in R({nxt: 1}).rem(G).terms():
+                terms = closed.get(nxt)
+                if terms is None:
+                    terms = R({nxt: 1}).rem(G).terms()
+                for mon2, c in terms:
                     col[index[mon2]] = Fraction(int(c.numerator), int(c.denominator))
             cols.append(col)
         # column k holds the image of basis element k
@@ -232,38 +251,39 @@ def _mat_combine(mats, coeffs, D):
 def _integer_matrix(M) -> tuple[list[list[int]], int]:
     """(N, L) with M = N / L, N an integer matrix and L > 0."""
     L = lcm(*(x.denominator for row in M for x in row))
-    return [[int(x * L) for x in row] for row in M], L
+    return [[x.numerator * (L // x.denominator) for x in row] for row in M], L
 
 
 def _krylov_min_poly(M) -> UniPoly:
     """Monic minimal polynomial of M acting on the quotient, via the
-    iterates of the basis element 1 (index 0)."""
+    iterates of the basis element 1 (index 0).
+
+    Runs over the integer iterates u_k = N^k e_0 of N = L M.  Each iterate,
+    with the unit vector e_k appended to record its combination, is reduced
+    against the earlier ones by fraction-free (Bareiss) steps, so every
+    division is exact.  The first that reduces to zero gives
+    sum_i c_i u_i = 0, and M's monic relation has coefficients
+    c_i / (c_k L^(k-i)).
+    """
     D = len(M)
-    v = [Fraction(0)] * D
-    v[0] = Fraction(1)
-    reduced = []  # (pivot, vector, combination over original iterates)
-    k = 0
-    while True:
-        vec = list(v)
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        for pivot, bvec, bcombo in reduced:
-            c = vec[pivot]
-            if c:
-                f = c / bvec[pivot]
-                vec = [x - f * y for x, y in zip(vec, bvec)]
-                combo = [
-                    x - f * (bcombo[i] if i < len(bcombo) else Fraction(0))
-                    for i, x in enumerate(combo)
-                ]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return UniPoly(combo)
-        reduced.append((pivot, vec, combo))
-        v = [sum(row[i] * v[i] for i in range(D)) for row in M]
-        k += 1
-        if k > D:
-            raise SolverError("minimal polynomial search did not terminate")
+    N, L = _integer_matrix(M)
+    u = [1] + [0] * (D - 1)
+    rows = []  # (pivot column, reduced row: iterate part, then combination)
+    for k in range(D + 1):
+        row = u + [0] * (D + 1)
+        row[D + k] = 1
+        prev = 1
+        for col, prow in rows:
+            p, f = prow[col], row[col]
+            row = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            prev = p
+        col = next((i for i in range(D) if row[i]), None)
+        if col is None:
+            c = row[D:D + k + 1]
+            return UniPoly([Fraction(ci, c[k] * L ** (k - i)) for i, ci in enumerate(c)])
+        rows.append((col, row))
+        u = [sum(a * b for a, b in zip(nrow, u)) for nrow in N]
+    raise SolverError("minimal polynomial search did not terminate")
 
 
 def _trace_poly(q: UniPoly, traces) -> UniPoly:

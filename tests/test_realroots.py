@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from symconn.errors import DomainError, InvalidCodeError
+from symconn import realroots
+from symconn.errors import DomainError, InvalidCodeError, SolverError
 from symconn.realroots import (
     AlgebraicPoint,
     AlgebraicValue,
@@ -60,13 +61,78 @@ def test_unipoly_arithmetic_matches_sympy():
         assert to_sympy(f + g) == (to_sympy(f) + to_sympy(g)).expand()
 
 
+# -- Fraction references for the integer kernels -----------------------------
+#
+# Products, division, gcds and interval Horner used to run in Fraction
+# arithmetic.  Those versions are kept here as the references the integer
+# kernels must match exactly: quotient, remainder, monic gcd and the interval
+# Horner enclosure are each unique.
+
+
+def ref_mul(f: UniPoly, g: UniPoly) -> UniPoly:
+    if f.is_zero() or g.is_zero():
+        return UniPoly([])
+    out = [Fraction(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return UniPoly(out)
+
+
+def ref_divmod(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    q = [Fraction(0)] * max(0, f.degree - g.degree + 1)
+    rem = list(f.coeffs)
+    glead, gdeg = g.leading(), g.degree
+    for k in range(len(rem) - 1, gdeg - 1, -1):
+        c = rem[k]
+        if c == 0:
+            continue
+        factor = c / glead
+        q[k - gdeg] = factor
+        for j, gc in enumerate(g.coeffs):
+            rem[k - gdeg + j] -= factor * gc
+    return UniPoly(q), UniPoly(rem[:gdeg] if gdeg > 0 else [])
+
+
+def ref_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+    return a.monic() if not a.is_zero() else a
+
+
+def ref_eval_interval(p: UniPoly, lo, hi) -> tuple[Fraction, Fraction]:
+    alo = ahi = Fraction(0)
+    for c in reversed(p.coeffs):
+        vals = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(vals) + c, max(vals) + c
+    return alo, ahi
+
+
+PRIME = 2**61 - 1
+
+
+def test_mul_matches_fraction_reference():
+    rng = random.Random(43)
+    for _ in range(80):
+        f, g = random_poly(rng, 7, zero_ok=True), random_poly(rng, 7, zero_ok=True)
+        assert f * g == ref_mul(f, g)
+        assert f * 0 == UniPoly([]) and UniPoly([]) * g == UniPoly([])
+        assert f * Fraction(-2, 3) == ref_mul(f, UniPoly.constant(Fraction(-2, 3)))
+
+
 def test_divmod_identity():
     rng = random.Random(42)
-    for _ in range(60):
-        f, g = random_poly(rng, 7), random_poly(rng, 4)
+    t = UniPoly.variable()
+    cases = [(random_poly(rng, 7), random_poly(rng, 4)) for _ in range(60)]
+    cases += [(random_poly(rng, 3), random_poly(rng, 6)) for _ in range(10)]
+    cases += [(random_poly(rng, 5), UniPoly.constant(Fraction(-3, 7))), (UniPoly([]), t - 1)]
+    cases += [(random_poly(rng, 6), t * Fraction(PRIME, 5) + 1)]
+    for f, g in cases:
         q, r = divmod_poly(f, g)
         assert (q * g + r - f).is_zero()
         assert r.degree < g.degree
+        assert (q, r) == ref_divmod(f, g)
 
 
 def test_poly_gcd():
@@ -75,6 +141,51 @@ def test_poly_gcd():
     g = (t - 2) * (t + 5)
     assert poly_gcd(f, g).coeffs == (t - 2).coeffs
     assert poly_gcd(f, UniPoly([])).coeffs == f.monic().coeffs
+
+
+def test_poly_gcd_matches_fraction_reference():
+    rng = random.Random(44)
+    t = UniPoly.variable()
+    pairs = [(random_poly(rng, 7), random_poly(rng, 6)) for _ in range(40)]
+    coprime = [(f, g) for f, g in pairs if ref_gcd(f, g).degree == 0]
+    assert len(coprime) >= 30
+    # every coprime random pair is settled modulo the prime
+    assert all(realroots._coprime_mod_prime(f, g) for f, g in coprime)
+    for _ in range(20):
+        h = random_poly(rng, 3)
+        pairs.append((random_poly(rng, 4) * h, random_poly(rng, 4) * h))
+    pairs += [(random_poly(rng, 5), UniPoly([])), (UniPoly([]), random_poly(rng, 5))]
+    pairs += [(UniPoly([]), UniPoly([])), (UniPoly.constant(3), random_poly(rng, 4))]
+    # leading coefficients divisible by the prime, and a pair that is
+    # coprime over Q but shares the factor T modulo the prime: the test
+    # modulo the prime must decline each, and Euclid over Q decides
+    fallback = [
+        (t * t * PRIME + 1, t - 1),
+        ((t - 2) * (t * PRIME + 3), (t - 2) * (t + 1)),
+        (t, t - PRIME),
+        (t + 1, t * Fraction(PRIME, 2) - 1),
+    ]
+    for f, g in fallback:
+        assert not realroots._coprime_mod_prime(f, g)
+    for f, g in pairs + fallback:
+        assert poly_gcd(f, g) == ref_gcd(f, g)
+    assert poly_gcd(t, t - PRIME) == UniPoly.constant(1)
+
+
+def test_eval_interval_matches_fraction_reference():
+    rng = random.Random(45)
+    polys = [random_poly(rng, 8, zero_ok=True) for _ in range(40)]
+    polys += [UniPoly([]), UniPoly.constant(Fraction(-5, 3)), UniPoly.constant(7)]
+    for p in polys:
+        for _ in range(6):
+            a = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+            b = a + Fraction(rng.randint(0, 30), rng.randint(1, 9))
+            for lo, hi in ((a, b), (a, a), (-b, -a), (-abs(a) - abs(b) - 1, -abs(a) - 1)):
+                got = p.eval_interval(lo, hi)
+                assert got == ref_eval_interval(p, lo, hi)
+                assert got[0] <= got[1]
+    assert UniPoly([]).eval_interval(Fraction(1, 3), Fraction(1, 2)) == (0, 0)
+    assert UniPoly.constant(7).eval_interval(Fraction(-1, 3), Fraction(1, 2)) == (7, 7)
 
 
 def test_squarefree_part():
@@ -154,6 +265,15 @@ def test_thom_codes_distinct_random():
         codes = thom_encoding(p)
         assert len(set(codes)) == len(codes)
         assert len(codes) == count_real_roots(p)
+
+
+def test_thom_code_collision_raises(monkeypatch):
+    # a sign oracle that cannot tell the roots of T^2 - 2 apart must be
+    # caught by a check that survives python -O
+    t = UniPoly.variable()
+    monkeypatch.setattr(realroots, "_sign_at_nonexact", lambda p, root, g: 1)
+    with pytest.raises(SolverError, match="Thom codes"):
+        thom_rooted(t**2 - 2)
 
 
 def test_sign_at_root_sqrt2():

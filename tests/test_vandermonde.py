@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.polys.domains import QQ
+from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grevlex
 from sympy.polys.rings import ring
 
@@ -22,6 +23,7 @@ from symconn.realroots import (
 from symconn.vandermonde import (
     CanonicalPoint,
     Parametrization,
+    _krylov_min_poly,
     _quotient_data,
     _ratio_vanishing,
     _solve_linear,
@@ -395,13 +397,19 @@ def mat_mul(A, B):
 QUOTIENT_CASES = random_weighted_systems(71) + [BALL_D4]
 
 
+def weighted_equations(w, a):
+    """The ring and the equations sum_k w_k z_k^j = a_j, j = 1..d."""
+    d = len(w)
+    R, *zs = ring(",".join(f"z{k}" for k in range(1, d + 1)), QQ, grevlex)
+    return R, [sum(m * z**j for m, z in zip(w, zs)) - a[j - 1] for j in range(1, d + 1)]
+
+
 @pytest.mark.parametrize(
     "w,a", QUOTIENT_CASES, ids=[f"d3-{k}" for k in range(6)] + ["ball-d4"]
 )
 def test_quotient_matrices_commute_and_satisfy_the_system(w, a):
     d = len(w)
-    R, *zs = ring(",".join(f"z{k}" for k in range(1, d + 1)), QQ, grevlex)
-    eqs = [sum(m * z**j for m, z in zip(w, zs)) - a[j - 1] for j in range(1, d + 1)]
+    R, eqs = weighted_equations(w, a)
     basis, mats = _quotient_data(eqs, R)
     D = len(basis)
     assert basis[0] == (0,) * d
@@ -416,6 +424,37 @@ def test_quotient_matrices_commute_and_satisfy_the_system(w, a):
         ]
         assert total == [[a[j - 1] if r == c else 0 for c in range(D)] for r in range(D)]
         powers = [mat_mul(P, M) for P, M in zip(powers, mats)]
+
+
+def rem_matrices(eqs, R, basis):
+    """Multiplication matrices with every column reduced by sympy's rem."""
+    G = groebner(eqs, R)
+    index = {mon: k for k, mon in enumerate(basis)}
+    D = len(basis)
+    mats = []
+    for i in range(R.ngens):
+        M = [[F(0)] * D for _ in range(D)]
+        for k, mon in enumerate(basis):
+            nxt = tuple(m + (j == i) for j, m in enumerate(mon))
+            for mon2, c in R({nxt: 1}).rem(G).terms():
+                M[index[mon2]][k] = F(int(c.numerator), int(c.denominator))
+        mats.append(M)
+    return G, mats
+
+
+@pytest.mark.parametrize(
+    "w,a", QUOTIENT_CASES, ids=[f"d3-{k}" for k in range(6)] + ["ball-d4"]
+)
+def test_closed_form_border_columns_match_rem(w, a):
+    R, eqs = weighted_equations(w, a)
+    basis, mats = _quotient_data(eqs, R)
+    G, want = rem_matrices(eqs, R, basis)
+    assert mats == want
+    # some border monomial leads a basis element, so the closed form ran
+    border = {
+        tuple(m + (j == i) for j, m in enumerate(mon)) for mon in basis for i in range(len(w))
+    }
+    assert any(g.LM in border for g in G)
 
 
 def test_quotient_data_rejects_degenerate_systems():
@@ -437,6 +476,64 @@ def test_solve_linear_matches_sympy():
         assert _solve_linear(M, b) == [Fraction(str(v)) for v in want]
     with pytest.raises(SolverError):
         _solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(0)])
+
+
+# -- reference: Krylov elimination over Fraction --------------------------------
+
+
+def ref_krylov_min_poly(M) -> UniPoly:
+    """The minimal polynomial search in Fraction arithmetic."""
+    D = len(M)
+    v = [F(int(i == 0)) for i in range(D)]
+    reduced = []  # (pivot, vector, combination over original iterates)
+    for k in range(D + 1):
+        vec = list(v)
+        combo = [F(0)] * k + [F(1)]
+        for pivot, bvec, bcombo in reduced:
+            c = vec[pivot]
+            if c:
+                f = c / bvec[pivot]
+                vec = [x - f * y for x, y in zip(vec, bvec)]
+                combo = [x - f * (bcombo[i] if i < len(bcombo) else 0) for i, x in enumerate(combo)]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return UniPoly(combo)
+        reduced.append((pivot, vec, combo))
+        v = [sum(row[i] * v[i] for i in range(D)) for row in M]
+    raise AssertionError("no relation among D + 1 iterates")
+
+
+def rational_matrix(rng, D):
+    return [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(D)] for _ in range(D)]
+
+
+def test_krylov_min_poly_matches_fraction_reference():
+    rng = random.Random(89)
+    low = 0
+    for D in (1, 2, 3, 4, 5, 6):
+        for _ in range(4):
+            # S diag(e) S^-1 with repeated eigenvalues: degree below D
+            S = sympy.Matrix([[0]])
+            while S.det() == 0:
+                S = sympy.Matrix(rational_matrix(rng, D))
+            e = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(D)]
+            B = S * sympy.diag(*[sympy.Rational(x) for x in e]) * S.inv()
+            M = [[Fraction(str(B[r, c])) for c in range(D)] for r in range(D)]
+            f = _krylov_min_poly(M)
+            assert f == ref_krylov_min_poly(M)
+            assert f.degree <= len(set(e))
+            low += f.degree < D
+            M = rational_matrix(rng, D)
+            assert _krylov_min_poly(M) == ref_krylov_min_poly(M)
+    assert low >= 12
+    # e_0 in an invariant subspace: the relation comes early
+    M = [[F(1, 2), F(0), F(3)], [F(0), F(-1), F(1)], [F(0), F(0), F(2)]]
+    assert _krylov_min_poly(M) == UniPoly([F(-1, 2), 1])
+    for w, a in QUOTIENT_CASES:
+        R, eqs = weighted_equations(w, a)
+        _, mats = _quotient_data(eqs, R)
+        for M in mats:
+            assert _krylov_min_poly(M) == ref_krylov_min_poly(M)
 
 
 def unreduced_power_sum(pt, w, j):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import shutil
+from fractions import Fraction
 
 import pytest
 
@@ -109,3 +110,60 @@ def test_golden_certificate_digest():
             digest.update(json.dumps(cert, sort_keys=True).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# Twenty Engine.symmetric queries with unsorted y, sorted x: every one that
+# needs a wall runs wall trials, and the d = 3 trials solve fibers on the
+# generic path.  Points are quarter-lattice points drawn once and written
+# out, so the list does not depend on any generator.
+WIDE_QUERIES = {
+    "ball3": [
+        (("-1/4", "0", "3/4"), ("-1/4", "1/2", "-3/4")),
+        (("-1/4", "-1/4", "1/4"), ("0", "-1/4", "1/2")),
+        (("0", "1/2", "1/2"), ("1/4", "3/4", "1/2")),
+        (("-3/4", "-1/2", "0"), ("1/2", "-3/4", "1/4")),
+        (("0", "1/2", "3/4"), ("-1/2", "-3/4", "-1/4")),
+    ],
+    "split3": [
+        (("-1/2", "1/4", "3/2"), ("1/2", "3/2", "-1/2")),
+        (("-2", "3/2", "7/4"), ("7/4", "5/4", "1")),
+        (("-1/4", "-1/4", "2"), ("3/2", "1", "-1/4")),
+        (("-7/4", "-1/2", "1"), ("1/4", "-1/4", "-3/2")),
+    ],
+    "cubic3-d3": [
+        (("1/2", "7/4", "7/4"), ("7/4", "0", "-3/2")),
+        (("3/4", "5/4", "3/2"), ("7/4", "-1/4", "1")),
+        (("3/2", "3/2", "3/2"), ("-1", "7/4", "-5/4")),
+        (("-1/4", "1/4", "5/4"), ("-3/4", "2", "-3/2")),
+        (("3/4", "3/4", "5/4"), ("0", "-1/4", "5/4")),
+    ],
+    "blob4-d3": [
+        (("-3/4", "1/4", "1/2", "3/4"), ("3/4", "1/2", "-3/4", "-1/4")),
+        (("-3/4", "0", "1/4", "1"), ("3/4", "0", "-3/4", "3/4")),
+        (("-1/2", "-1/4", "-1/4", "1/4"), ("-1/4", "3/4", "1/4", "3/4")),
+        (("-3/4", "-3/4", "-1/4", "1/2"), ("0", "1/2", "0", "0")),
+        (("-1/4", "1/2", "1/2", "3/4"), ("1/4", "1/4", "-1", "-1/4")),
+        (("-3/4", "-1/2", "0", "0"), ("1", "-1/2", "1/4", "1/4")),
+    ],
+}
+
+# SHA-256 over the sorted-key JSON of the WIDE_QUERIES certificates, one per
+# line, in the order above.  Computed on the code before the exact kernels
+# of realroots and vandermonde moved from Fraction to integer arithmetic;
+# like GOLDEN_DIGEST it guards certificates, not speed.
+WIDE_DIGEST = "a58f8cd30e9ad69d47f41e0f693591bd0a3ce3a43eae76e7dd591ef8ac11400c"
+
+
+def test_wide_certificate_digest():
+    digest = hashlib.sha256()
+    walls = 0
+    for name, pairs in WIDE_QUERIES.items():
+        pf = parse_problem((FIXTURES / f"{name}.json").read_bytes())
+        eng = Engine(pf.system, build_config(pf.config))
+        for x, y in pairs:
+            v = eng.symmetric([Fraction(c) for c in x], [Fraction(c) for c in y])
+            walls += len(v.certificate["walls"])
+            digest.update(json.dumps(v.certificate, sort_keys=True).encode())
+            digest.update(b"\n")
+    assert walls >= 30
+    assert digest.hexdigest() == WIDE_DIGEST
