@@ -17,7 +17,8 @@ point.
 
 Every verdict carries a JSON-ready certificate recording the reduction:
 fiber data, canonical points with their graph vertices, oracle
-resolutions, and for wall queries the sampled wall representatives.
+resolutions, and for wall queries the sampled wall representatives, each
+with the graph vertex and component it was located in directly.
 Identical inputs under an identical config reproduce the certificate
 verbatim.
 
@@ -293,11 +294,16 @@ class Engine:
     def wall(self, x: Sequence, i: int) -> Verdict:
         """Does the sorted-slice component of x touch the wall x_i = x_{i+1}?
 
-        Each extremal face is merged across the wall, the merged face set
-        is sampled, and every sampled representative is tested for orbit
-        connectivity with x.  A single success is a witness.  Exhausting
-        all representatives gives a no that is not certified: only the
-        merged extremal faces are sampled, not the whole wall.
+        x is located once, through its canonical point.  Each extremal
+        face lam is merged across the wall into mu, mu's face set is
+        sampled, and every sampled point is located where it lies, with
+        no fiber solve: mu only merges blocks of lam, so precedes(lam, mu)
+        and the point lies in L_mu, inside L_lam, hence in the closed face
+        set S_lam; the vertex `locate_vertex` finds for it on mu lies in
+        its component of the union.  A trial whose vertex shares x's
+        component is a witness.  Exhausting all trials gives a no that is
+        not certified: only the merged extremal faces are sampled, not
+        the whole wall.
         """
         xs = self._check_point(x, "x")
         if not 1 <= i <= self.sys.n - 1:
@@ -307,36 +313,37 @@ class Engine:
         if hit is not None:
             return hit
 
+        dx = self._canonical(xs)
+        ix = self._locate(dx)
+        g = self.graph()
         trials = []
         witness = None
         seen = set()
-        for lam in extremal_compositions(self.sys.n, self.sys.d, pattern=self.pattern):
-            merged = merge_at_wall(lam, i)
+        for extremal in self.faces():
+            merged = merge_at_wall(extremal.lam, i)
             if merged in seen:
                 continue
             seen.add(merged)
             face = restrict(self.sys, merged)
-            reps = sample_components(face_region(face), self.cfg)
-            for z in reps:
+            for z in sample_components(face_region(face), self.cfg):
                 xz = embed(merged, z)
-                sub = self._orbit_verdict(xs, xz)
+                iz = locate_vertex(g, xz, merged)
+                same = g.labels[iz] == g.labels[ix]
                 trials.append(
                     {
                         "face": list(merged.parts),
                         "representative": _point_json(xz),
                         "representative_decimal": _decimal_json(xz),
-                        "connected": sub.connected,
-                        "components": [
-                            sub.certificate["x_canonical"]["vertex"]["component"],
-                            sub.certificate["y_canonical"]["vertex"]["component"],
-                        ],
+                        "connected": same,
+                        "vertex": iz,
+                        "component": g.labels[iz],
                     }
                 )
-                if sub.connected and witness is None:
+                if same and witness is None:
                     witness = {
                         "face": list(merged.parts),
                         "representative": _point_json(xz),
-                        "orbit": sub.certificate,
+                        "vertex": _vertex_json(g, iz),
                     }
             if witness is not None:
                 break
@@ -349,6 +356,7 @@ class Engine:
             "pattern": self.pattern,
             "config": _config_json(self.cfg),
             "x": _point_json(xs),
+            "x_canonical": self._canonical_json(dx, ix),
             "trials": trials,
             "witness": witness,
             "graph": self._graph_json(),

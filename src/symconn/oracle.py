@@ -46,6 +46,7 @@ from .polynomials import (
     FaceSystem,
     Relation,
     SymmetricSystem,
+    chamber_atoms,
     restrict,
 )
 
@@ -54,16 +55,11 @@ Atom = tuple[ExpandedPoly, Relation]
 
 @dataclass(frozen=True)
 class Region:
-    """Membership predicate on a box: the conjunction of `requires`.
-
-    `eq_delta`, when set, pins the EQ slab width for this region and
-    overrides the config policy.
-    """
+    """Membership predicate on a box: the conjunction of `requires`."""
 
     dim: int
     requires: tuple[Atom, ...]
     box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    eq_delta: Fraction | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -76,8 +72,6 @@ class Region:
         for poly, _ in self.requires:
             if poly.nvars != self.dim:
                 raise DomainError("constraint arity differs from region dimension")
-        if self.eq_delta is not None and self.eq_delta < 0:
-            raise DomainError("eq_delta must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -120,9 +114,7 @@ class GridSummary:
         return len(self.level_counts) >= 2 and self.level_counts[-1] == self.level_counts[-2]
 
 
-def _effective_delta(region: Region, cfg: OracleConfig, h: Fraction) -> Fraction:
-    if region.eq_delta is not None:
-        return region.eq_delta
+def _effective_delta(cfg: OracleConfig, h: Fraction) -> Fraction:
     if cfg.eq_delta is not None:
         return cfg.eq_delta
     return h
@@ -171,7 +163,7 @@ def point_feasible(
         )
     pt = tuple(Fraction(v) for v in x)
     h = cfg.h if h is None else h
-    delta = _effective_delta(region, cfg, h)
+    delta = _effective_delta(cfg, h)
     lo, hi = region.box
     for k in range(region.dim):
         if not lo[k] <= pt[k] <= hi[k]:
@@ -208,7 +200,7 @@ class _Grid:
     def __init__(self, region: Region, cfg: OracleConfig, h: Fraction):
         self.h = h
         self.dim = region.dim
-        delta = _effective_delta(region, cfg, h)
+        delta = _effective_delta(cfg, h)
         margin = h * cfg.gt_gamma
         lo, hi = region.box
         self.lo = lo
@@ -239,11 +231,7 @@ class _Grid:
 
         # on a uniform box the chamber atoms hold exactly on the weakly
         # increasing index tuples, so only those cells are walked
-        chamber = {
-            (ExpandedPoly.variable(self.dim, k + 1) - ExpandedPoly.variable(self.dim, k),
-             Relation.GE)
-            for k in range(1, self.dim)
-        }
+        chamber = set(chamber_atoms(self.dim))
         sorted_walk = chamber <= set(region.requires) and all(c == centers[0] for c in centers)
         requires = [a for a in region.requires if not (sorted_walk and a in chamber)]
 
@@ -468,16 +456,11 @@ def connected(
     return res.connected_points(x, y)
 
 
-def face_region(face: FaceSystem, include_chamber: bool = True) -> Region:
-    """Region of a face system in its block coordinates.
-
-    The chamber ordering z1 <= ... <= zl is appended as GE atoms by
-    default; pass include_chamber=False for the bare constraint set.
-    """
-    req = list(face.constraints)
-    if include_chamber:
-        req.extend((p, Relation.GE) for p in face.chamber_polys())
-    return Region(dim=face.dim, requires=tuple(req), box=face.box)
+def face_region(face: FaceSystem) -> Region:
+    """Region of a face system in its block coordinates, chamber ordering included."""
+    return Region(
+        dim=face.dim, requires=face.constraints + chamber_atoms(face.dim), box=face.box
+    )
 
 
 def full_space_region(sys: SymmetricSystem) -> Region:

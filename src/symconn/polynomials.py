@@ -9,7 +9,7 @@ has blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -317,34 +317,31 @@ def make_box(n: int, lo, hi) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]
     return (tuple([Fraction(lo)] * n), tuple([Fraction(hi)] * n))
 
 
+def chamber_atoms(dim: int) -> tuple[tuple[ExpandedPoly, Relation], ...]:
+    """The chamber ordering z_1 <= ... <= z_dim as GE atoms z_{k+1} - z_k >= 0."""
+    return tuple(
+        (ExpandedPoly.variable(dim, k + 1) - ExpandedPoly.variable(dim, k), Relation.GE)
+        for k in range(1, dim)
+    )
+
+
 @dataclass(frozen=True)
 class FaceSystem:
     """A system restricted to one chamber face, in block coordinates.
 
     Constraints are expanded polynomials in length-of-lam variables; the
-    chamber ordering z_1 <= ... <= z_ell and the face box are implicit
-    parts of the region and are produced by `chamber_polys` / `box`.
+    chamber ordering z_1 <= ... <= z_ell (`chamber_atoms`) and the face
+    box are implicit parts of the region.
     """
 
     lam: Composition
     n: int
     constraints: tuple[tuple[ExpandedPoly, Relation], ...]
     box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    parent: SymmetricSystem | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
         return self.lam.length
-
-    def chamber_polys(self) -> list[ExpandedPoly]:
-        """z_{k+1} - z_k >= 0 for consecutive block values."""
-        out = []
-        for k in range(1, self.dim):
-            out.append(
-                ExpandedPoly.variable(self.dim, k + 1)
-                - ExpandedPoly.variable(self.dim, k)
-            )
-        return out
 
 
 def restrict(sys: SymmetricSystem, lam: Composition | Sequence[int]) -> FaceSystem:
@@ -369,7 +366,6 @@ def restrict(sys: SymmetricSystem, lam: Composition | Sequence[int]) -> FaceSyst
         n=sys.n,
         constraints=constraints,
         box=(tuple(blo), tuple(bhi)),
-        parent=sys,
     )
 
 

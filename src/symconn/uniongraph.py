@@ -32,7 +32,7 @@ from .oracle import (
     resolve_region,
     sample_components,
 )
-from .polynomials import ExpandedPoly, FaceSystem, Relation, block_substitute
+from .polynomials import FaceSystem, block_substitute, chamber_atoms
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,7 @@ def intersection_region(fi: FaceSystem, fj: FaceSystem) -> tuple[Region, Composi
         q = _quotient(face.lam, mu)
         for poly, rel in face.constraints:
             req.append((block_substitute(poly, q), rel))
-    for k in range(1, ell):
-        req.append(
-            (ExpandedPoly.variable(ell, k + 1) - ExpandedPoly.variable(ell, k), Relation.GE)
-        )
+    req.extend(chamber_atoms(ell))
     lo1, hi1 = _box_on(fi, mu)
     lo2, hi2 = _box_on(fj, mu)
     blo = tuple(max(a, b) for a, b in zip(lo1, lo2))

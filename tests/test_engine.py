@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import symconn.engine as engine_module
+from symconn.compositions import composition
 from symconn.engine import (
     Engine,
     connected_wall,
@@ -21,7 +23,9 @@ from symconn.polynomials import (
     SymmetricSystem,
     make_box,
     restrict,
+    vandermonde_map,
 )
+from symconn.uniongraph import locate_vertex
 
 
 def ball3():
@@ -116,6 +120,55 @@ def test_wall_wide_arcs_reachable():
     assert v.certificate["witness"] is not None
     rep = [F(s) for s in v.certificate["witness"]["representative"]]
     assert rep[0] == rep[1]
+
+
+@pytest.fixture
+def fiber_solves(monkeypatch):
+    """The fibers the engine hands to min_canonical, in call order."""
+    solved = []
+    real = engine_module.min_canonical
+
+    def counted(n, d, a, **kwargs):
+        solved.append(a)
+        return real(n, d, a, **kwargs)
+
+    monkeypatch.setattr(engine_module, "min_canonical", counted)
+    return solved
+
+
+def test_wall_solves_only_the_fiber_of_x(fiber_solves):
+    # trials are located where they lie on the graph, so a wall query on a
+    # fresh engine solves one fiber, x's, however many trials it runs
+    x = (F(1), F(1), F(1))
+    v = Engine(split3()).wall(x, 1)
+    assert len(v.certificate["trials"]) >= 2
+    assert fiber_solves == [vandermonde_map(x, 2)]
+
+
+@pytest.mark.parametrize(
+    "make,x,cfg",
+    [
+        (ball3, (0, 0, 0), None),
+        (split3, (1, 1, 1), None),
+        (lambda: circle(3), ARC_X, EQCFG),
+    ],
+    ids=["ball3", "split3", "circle3"],
+)
+def test_wall_trial_vertex_holds_its_representative(make, x, cfg):
+    eng = Engine(make(), cfg)
+    g = eng.graph()
+    trials = 0
+    for i in range(1, eng.sys.n):
+        c = eng.wall(x, i).certificate
+        for t in c["trials"]:
+            rep = [F(s) for s in t["representative"]]
+            assert locate_vertex(g, rep, composition(t["face"])) == t["vertex"]
+            assert g.labels[t["vertex"]] == t["component"]
+            assert t["connected"] == (t["component"] == c["x_canonical"]["vertex"]["component"])
+            trials += 1
+        if c["witness"] is not None:
+            assert c["witness"]["vertex"]["component"] == c["x_canonical"]["vertex"]["component"]
+    assert trials >= 2
 
 
 def test_wall_index_out_of_range():
@@ -276,3 +329,14 @@ def test_ball_d4_orbit_query():
     v = eng.canonical((0,) * 5, (F(-1, 2), 0, 0, 0, F(1, 2)))
     assert v.connected
     assert v.certificate["y_canonical"]["face"] == [1, 2, 1, 1]
+
+
+def test_ball_d4_wall_query(fiber_solves):
+    # sorting y crosses walls 1 to 4; each is decided by one trial located
+    # on the graph, and the convex ball reaches all of them.  Only x and
+    # the sorted y have their fibers solved
+    eng = Engine(d4_system(5, BALL4), D4CFG)
+    v = eng.symmetric((0,) * 5, (F(1, 2), 0, 0, 0, F(-1, 2)))
+    assert v.connected
+    assert sum(len(w["trials"]) for w in v.certificate["walls"].values()) == 4
+    assert len(fiber_solves) == 2

@@ -232,8 +232,6 @@ def test_region_validation():
         Region(dim=1, requires=(), box=interval_box(1, 0))
     with pytest.raises(DomainError):
         Region(dim=2, requires=((p, Relation.GE),), box=((F(0), F(0)), (F(1), F(1))))
-    with pytest.raises(DomainError):
-        Region(dim=1, requires=(), box=interval_box(0, 1), eq_delta=F(-1))
 
 
 def test_config_validation():
@@ -248,8 +246,7 @@ def test_config_validation():
 def test_face_region_includes_chamber_ordering():
     face = restrict(ball3(), (1, 2))
     r = face_region(face)
-    bare = face_region(face, include_chamber=False)
-    assert len(r.requires) == len(bare.requires) + 1
+    assert len(r.requires) == len(face.constraints) + 1
     for rep in sample_components(r):
         assert rep[0] <= rep[1]
 
@@ -287,8 +284,7 @@ def reference_classes(region, cfg, h):
     by first appearance in the lexicographic walk, and the center of the
     first cell of each class.
     """
-    delta = region.eq_delta if region.eq_delta is not None else cfg.eq_delta
-    delta = h if delta is None else delta
+    delta = h if cfg.eq_delta is None else cfg.eq_delta
     margin = h * cfg.gt_gamma
 
     def atom_holds(poly, rel, c):
@@ -368,10 +364,7 @@ def random_region(rng, dim, chamber, uniform, zero_span):
     requires = [random_atom(rng, dim) for _ in range(rng.randint(1, 2))]
     if chamber:
         requires += [(var(dim, k + 1) - var(dim, k), Relation.GE) for k in range(1, dim)]
-    eq_delta = rng.choice((None, None, F(1, 3), F(2, 5)))
-    return Region(
-        dim=dim, requires=tuple(requires), box=(tuple(lo), tuple(hi)), eq_delta=eq_delta
-    )
+    return Region(dim=dim, requires=tuple(requires), box=(tuple(lo), tuple(hi)))
 
 
 KERNEL_CASES = [
@@ -395,7 +388,7 @@ def test_grid_kernel_matches_fraction_reference(chamber, uniform, zero_span):
         region = random_region(rng, dim, chamber, uniform, zero_span)
         cfg = OracleConfig(
             gt_gamma=rng.choice((F(0), F(1), F(2, 3))),
-            eq_delta=rng.choice((None, F(1, 5))),
+            eq_delta=rng.choice((None, F(1, 5), F(1, 3), F(2, 5))),
         )
         h = rng.choice((F(1, 2), F(1, 3), F(2, 7)))
         grid = _Grid(region, cfg, h)
@@ -415,19 +408,18 @@ def test_grid_kernel_matches_fraction_reference(chamber, uniform, zero_span):
 @pytest.mark.parametrize("from_config", [False, True])
 @pytest.mark.parametrize("chamber", [False, True])
 def test_grid_kernel_matches_reference_on_exact_ties(rel, from_config, chamber):
-    # centers are k/3 - 1/6 on both axes, so 3/7 * (z2 - z1) takes the
-    # values j/7, and 1/7 is both the EQ slab and the GT margin; the slab
-    # width is pinned on the region or, failing that, taken from the config
-    tie = ((var(2, 2) - var(2, 1)).scale(F(3, 7)), rel)
+    # centers are k/3 - 1/6 on both axes, so z2 - z1 takes the values j/3.
+    # With the slab width taken from the config, 1/7 is both the EQ slab
+    # and the GT margin, and 3/7 * (z2 - z1) ties with it at j = 1; with
+    # the slab width following the pitch, both are 1/3 and z2 - z1 ties
+    scale, gamma = (F(3, 7), F(3, 7)) if from_config else (F(1), F(1))
+    tie = ((var(2, 2) - var(2, 1)).scale(scale), rel)
     ball = (ExpandedPoly.constant(2, F(9, 5)) - var(2, 1) ** 2 - var(2, 2) ** 2, Relation.GE)
     requires = (ball, tie)
     if chamber:
         requires += ((var(2, 2) - var(2, 1), Relation.GE),)
-    region = Region(
-        dim=2, requires=requires, box=((F(-1, 3),) * 2, (F(5, 3),) * 2),
-        eq_delta=None if from_config else F(1, 7),
-    )
-    cfg = OracleConfig(gt_gamma=F(3, 7), eq_delta=F(1, 7) if from_config else None)
+    region = Region(dim=2, requires=requires, box=((F(-1, 3),) * 2, (F(5, 3),) * 2))
+    cfg = OracleConfig(gt_gamma=gamma, eq_delta=F(1, 7) if from_config else None)
     grid = _Grid(region, cfg, F(1, 3))
     cells, reps = reference_classes(region, cfg, F(1, 3))
     assert {idx: grid.class_of_cell(idx) for idx in cells} == cells

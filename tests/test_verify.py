@@ -92,11 +92,14 @@ def test_full_corpus_agreement():
 
 # SHA-256 over the sorted-key JSON of every certificate below, one per line.
 # Performance work must leave it alone: a changed digest means a changed
-# certificate, not a faster one.  It last moved when graph vertices were
-# renamed from {"side", "sets"} to {"set"}, with one vertex per face
-# component: with those keys stripped, every certificate of the top-level
-# fixtures hashed the same before and after.
-GOLDEN_DIGEST = "9a4964462ca606900d34437432c0fed0a0f254e341c34dc02e60b3d890c9d29d"
+# certificate, not a faster one.  It last moved when wall trials came to be
+# located directly on the graph instead of through a fiber solve: a trial
+# now records its vertex index and component, its witness quotes that
+# vertex instead of nesting an orbit certificate, and the wall certificate
+# carries x's canonical record once.  Every orbit certificate, and every
+# wall's verdict, trials (face, representative, connected) and witness
+# (face, representative) of the top-level fixtures stayed the same.
+GOLDEN_DIGEST = "308ec85aaa28f57e76cd036b9414d1bfe29306c67ea741f29ced0e54c73d4b5f"
 
 
 def test_golden_certificate_digest():
@@ -148,10 +151,12 @@ WIDE_QUERIES = {
 }
 
 # SHA-256 over the sorted-key JSON of the WIDE_QUERIES certificates, one per
-# line, in the order above.  Computed on the code before the exact kernels
-# of realroots and vandermonde moved from Fraction to integer arithmetic;
-# like GOLDEN_DIGEST it guards certificates, not speed.
-WIDE_DIGEST = "a58f8cd30e9ad69d47f41e0f693591bd0a3ce3a43eae76e7dd591ef8ac11400c"
+# line, in the order above; like GOLDEN_DIGEST it guards certificates, not
+# speed.  It last moved with GOLDEN_DIGEST, when wall trials came to be
+# located directly on the graph, and for the same reason: the trials and
+# witnesses changed shape, while every orbit certificate and every wall's
+# verdict, trials and witness point stayed the same.
+WIDE_DIGEST = "a2f327a61db3fdd36a5c311d66c32f4e4e45f299cd38135cc8b3d4e1b48aebfe"
 
 
 def test_wide_certificate_digest():
