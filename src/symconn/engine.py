@@ -1,10 +1,20 @@
 """Connectivity deciders built on the face graph.
 
 `Engine` bundles the per-system state: the extremal faces, the union
-graph over them with the summary every certificate quotes, and memoized
-canonical points and wall verdicts.  The
-module-level helpers keep one engine per (system, config, pattern)
-triple, so repeated queries against the same system reuse the graph.
+graph over them, and every fact a query needs that does not depend on
+the query itself, each computed once.  An engine memoizes
+
+- per point: the membership and box check that passed, and the canonical
+  point with its graph vertex and its certificate record;
+- per merged wall face: its sampled points, each located on the graph;
+- per (wall, component of the sorted slice): the wall trials and witness;
+
+plus each (x, wall) verdict.  Certificates share the memoized records,
+the config, the face list and the graph summary as sub-dicts, so they
+must be treated as read-only.  A failure is never memoized: a query that
+raised raises again when asked again.  The module-level helpers keep one
+engine per (system, config, pattern) triple, so repeated queries against
+the same system reuse all of it.
 
 Three deciders are exposed.  `connectivity_symmetric_canonical` answers
 whether two weakly increasing feasible points lie in the same component
@@ -36,6 +46,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .compositions import (
+    Composition,
     composition,
     embed,
     extremal_compositions,
@@ -164,15 +175,21 @@ class Engine:
         self.cfg = cfg if cfg is not None else OracleConfig()
         self.pattern = pattern
         self._faces: tuple[FaceSystem, ...] | None = None
+        self._faces_json: list | None = None
+        self._cfg_json = _config_json(self.cfg)
         self._graph: UnionGraph | None = None
         self._graph_summary: dict | None = None
+        self._feasible: set = set()  # points whose box and membership check passed
         self._canon: dict = {}
+        self._wall_faces: dict = {}  # merged face -> [(point, vertex)]
+        self._wall_search: dict = {}  # (wall, component) -> (trials, witness)
         self._walls: dict = {}
 
     def faces(self) -> tuple[FaceSystem, ...]:
         if self._faces is None:
             lams = extremal_compositions(self.sys.n, self.sys.d, pattern=self.pattern)
             self._faces = tuple(restrict(self.sys, lam) for lam in lams)
+            self._faces_json = [list(lam.parts) for lam in lams]
         return self._faces
 
     def graph(self) -> UnionGraph:
@@ -193,6 +210,8 @@ class Engine:
                 f"{name} must be weakly increasing; sort it first "
                 "(the answer is invariant under sorting the query orbit)"
             )
+        if xs in self._feasible:
+            return xs
         if not self.sys.box_contains(xs):
             raise PreconditionError(f"{name} lies outside the system box")
         ok, _ = self.sys.eval_membership(xs)
@@ -206,6 +225,7 @@ class Engine:
                         f"({c.rel.name}) evaluates to {v}"
                     )
             raise PreconditionError(f"{name} is infeasible")
+        self._feasible.add(xs)
         return xs
 
     # -- canonical fiber points ----------------------------------------------
@@ -232,7 +252,16 @@ class Engine:
         return data
 
     def _locate(self, data: dict) -> int:
-        return locate_vertex(self.graph(), data["rational"], data["home"])
+        """Graph vertex of a canonical point, located once.
+
+        The point's certificate record is built with it and kept in the
+        same `_canon` entry as `data["json"]`.
+        """
+        if "vertex" not in data:
+            idx = locate_vertex(self.graph(), data["rational"], data["home"])
+            data["json"] = self._canonical_json(data, idx)
+            data["vertex"] = idx
+        return data["vertex"]
 
     def _canonical_json(self, data: dict, idx: int) -> dict:
         g = self.graph()
@@ -274,12 +303,12 @@ class Engine:
             "kind": "orbit",
             "connected": same,
             "pattern": self.pattern,
-            "config": _config_json(self.cfg),
-            "faces": [list(f.lam.parts) for f in self.faces()],
+            "config": self._cfg_json,
+            "faces": self._faces_json,
             "x": _point_json(xs),
             "y": _point_json(ys),
-            "x_canonical": self._canonical_json(dx, ix),
-            "y_canonical": self._canonical_json(dy, iy),
+            "x_canonical": dx["json"],
+            "y_canonical": dy["json"],
             "graph": self._graph_json(),
             "box_note": "search is clamped to the system box",
         }
@@ -304,6 +333,11 @@ class Engine:
         component is a witness.  Exhausting all trials gives a no that is
         not certified: only the merged extremal faces are sampled, not
         the whole wall.
+
+        Nothing here depends on x beyond its component, so the engine
+        keeps the located samples of each merged face, built when the
+        face loop first reaches it, and the trials and witness of each
+        (wall, component) pair; the verdict for (x, i) is kept as well.
         """
         xs = self._check_point(x, "x")
         if not 1 <= i <= self.sys.n - 1:
@@ -314,7 +348,33 @@ class Engine:
             return hit
 
         dx = self._canonical(xs)
-        ix = self._locate(dx)
+        comp = self.graph().labels[self._locate(dx)]
+        search = self._wall_search.get((i, comp))
+        if search is None:
+            search = self._search_wall(i, comp)
+            self._wall_search[(i, comp)] = search
+        trials, witness = search
+
+        connected = witness is not None
+        cert = {
+            "kind": "wall",
+            "wall": i,
+            "connected": connected,
+            "pattern": self.pattern,
+            "config": self._cfg_json,
+            "x": _point_json(xs),
+            "x_canonical": dx["json"],
+            "trials": trials,
+            "witness": witness,
+            "graph": self._graph_json(),
+            "box_note": "search is clamped to the system box",
+        }
+        out = Verdict(connected, cert)
+        self._walls[key] = out
+        return out
+
+    def _search_wall(self, i: int, comp: int) -> tuple[list, dict | None]:
+        """Trials and witness of wall i for the graph component comp."""
         g = self.graph()
         trials = []
         witness = None
@@ -324,11 +384,8 @@ class Engine:
             if merged in seen:
                 continue
             seen.add(merged)
-            face = restrict(self.sys, merged)
-            for z in sample_components(face_region(face), self.cfg):
-                xz = embed(merged, z)
-                iz = locate_vertex(g, xz, merged)
-                same = g.labels[iz] == g.labels[ix]
+            for xz, iz in self._wall_face(merged):
+                same = g.labels[iz] == comp
                 trials.append(
                     {
                         "face": list(merged.parts),
@@ -347,24 +404,20 @@ class Engine:
                     }
             if witness is not None:
                 break
+        return trials, witness
 
-        connected = witness is not None
-        cert = {
-            "kind": "wall",
-            "wall": i,
-            "connected": connected,
-            "pattern": self.pattern,
-            "config": _config_json(self.cfg),
-            "x": _point_json(xs),
-            "x_canonical": self._canonical_json(dx, ix),
-            "trials": trials,
-            "witness": witness,
-            "graph": self._graph_json(),
-            "box_note": "search is clamped to the system box",
-        }
-        out = Verdict(connected, cert)
-        self._walls[key] = out
-        return out
+    def _wall_face(self, merged: Composition) -> list:
+        """The sampled points of merged's face set, each with its vertex."""
+        hit = self._wall_faces.get(merged)
+        if hit is None:
+            g = self.graph()
+            face = restrict(self.sys, merged)
+            hit = []
+            for z in sample_components(face_region(face), self.cfg):
+                xz = embed(merged, z)
+                hit.append((xz, locate_vertex(g, xz, merged)))
+            self._wall_faces[merged] = hit
+        return hit
 
     def symmetric(self, x: Sequence, y: Sequence) -> Verdict:
         """Connectivity of x and y in S itself; y may be unsorted.
@@ -395,7 +448,7 @@ class Engine:
             "kind": "symmetric",
             "connected": connected,
             "pattern": self.pattern,
-            "config": _config_json(self.cfg),
+            "config": self._cfg_json,
             "x": _point_json(xs),
             "y": _point_json(ys),
             "sorted_y": _point_json(ysort),

@@ -1,12 +1,15 @@
 """End-to-end checks for the three connectivity deciders."""
 
 import json
+import pathlib
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import symconn.engine as engine_module
-from symconn.compositions import composition
+from symconn.compositions import composition, merge_at_wall
 from symconn.engine import (
     Engine,
     connected_wall,
@@ -14,7 +17,7 @@ from symconn.engine import (
     connectivity_symmetric_canonical,
     get_engine,
 )
-from symconn.errors import PreconditionError
+from symconn.errors import LocateFailure, PreconditionError
 from symconn.oracle import OracleConfig, face_region, sample_components
 from symconn.polynomials import (
     Constraint,
@@ -25,7 +28,10 @@ from symconn.polynomials import (
     restrict,
     vandermonde_map,
 )
+from symconn.problemfile import build_config, parse_problem
 from symconn.uniongraph import locate_vertex
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def ball3():
@@ -123,26 +129,35 @@ def test_wall_wide_arcs_reachable():
 
 
 @pytest.fixture
-def fiber_solves(monkeypatch):
-    """The fibers the engine hands to min_canonical, in call order."""
-    solved = []
-    real = engine_module.min_canonical
+def calls(monkeypatch):
+    """calls(owner, name) wraps owner.name and returns its calls' arguments.
 
-    def counted(n, d, a, **kwargs):
-        solved.append(a)
-        return real(n, d, a, **kwargs)
+    The list grows by one positional-argument tuple per call, in call
+    order; for a method the tuple starts with the instance.
+    """
 
-    monkeypatch.setattr(engine_module, "min_canonical", counted)
-    return solved
+    def count(owner, name):
+        seen = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return seen
+
+    return count
 
 
-def test_wall_solves_only_the_fiber_of_x(fiber_solves):
+def test_wall_solves_only_the_fiber_of_x(calls):
     # trials are located where they lie on the graph, so a wall query on a
     # fresh engine solves one fiber, x's, however many trials it runs
+    solves = calls(engine_module, "min_canonical")
     x = (F(1), F(1), F(1))
     v = Engine(split3()).wall(x, 1)
     assert len(v.certificate["trials"]) >= 2
-    assert fiber_solves == [vandermonde_map(x, 2)]
+    assert [a for _n, _d, a in solves] == [vandermonde_map(x, 2)]
 
 
 @pytest.mark.parametrize(
@@ -232,6 +247,11 @@ def test_graph_summary_built_once():
     b = eng.wall((0, 0, 0), 1)
     assert a.certificate["graph"] is b.certificate["graph"] is eng._graph_json()
     assert Engine(ball3())._graph_json() == a.certificate["graph"]
+    # the config, the face list and x's canonical record are shared alike
+    c = eng.symmetric((0, 0, 0), (F(1, 2), 0, F(-1, 2))).certificate
+    assert a.certificate["config"] is b.certificate["config"] is c["config"]
+    assert a.certificate["faces"] is c["orbit"]["faces"]
+    assert a.certificate["x_canonical"] is b.certificate["x_canonical"]
 
 
 def test_certificate_is_json_ready():
@@ -331,12 +351,123 @@ def test_ball_d4_orbit_query():
     assert v.certificate["y_canonical"]["face"] == [1, 2, 1, 1]
 
 
-def test_ball_d4_wall_query(fiber_solves):
+def test_ball_d4_wall_query(calls):
     # sorting y crosses walls 1 to 4; each is decided by one trial located
     # on the graph, and the convex ball reaches all of them.  Only x and
     # the sorted y have their fibers solved
+    solves = calls(engine_module, "min_canonical")
     eng = Engine(d4_system(5, BALL4), D4CFG)
     v = eng.symmetric((0,) * 5, (F(1, 2), 0, 0, 0, F(-1, 2)))
     assert v.connected
     assert sum(len(w["trials"]) for w in v.certificate["walls"].values()) == 4
-    assert len(fiber_solves) == 2
+    assert len(solves) == 2
+
+
+# -- what an engine computes once ----------------------------------------------
+
+
+def fixture_system(name):
+    pf = parse_problem((FIXTURES / f"{name}.json").read_bytes())
+    return pf.system, build_config(pf.config)
+
+
+def query_stream(name, sys_, points=6, queries=20):
+    """Seeded (sorted x, shuffled y) pairs over a few feasible lattice points.
+
+    Few points and many queries, so a warm engine meets the same x again,
+    other x in the same component, and x in other components.
+    """
+    rng = random.Random(name)
+    lo, hi = sys_.box
+    pool = []
+    while len(pool) < points:
+        p = tuple(sorted(lo[k] + (hi[k] - lo[k]) * F(rng.randint(0, 16), 16) for k in range(sys_.n)))
+        if p not in pool and sys_.eval_membership(p)[0]:
+            pool.append(p)
+    stream = []
+    for _ in range(queries):
+        x, y = rng.choice(pool), list(rng.choice(pool))
+        rng.shuffle(y)
+        stream.append((x, tuple(y)))
+    return stream
+
+
+@pytest.mark.parametrize("name", ["ball3", "split3", "cubic3-d3", "blob4-d3"])
+def test_warm_engine_certificates_match_fresh_engines(name):
+    # every memo of one engine must be keyed finely enough that a stream
+    # of queries answers exactly as fresh engines do, certificate included
+    sys_, cfg = fixture_system(name)
+    warm = Engine(sys_, cfg)
+    walls = 0
+    for x, y in query_stream(name, sys_):
+        got = warm.symmetric(x, y).certificate
+        want = Engine(sys_, cfg).symmetric(x, y).certificate
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        walls += len(got["walls"])
+    assert walls > 0
+
+
+def test_wall_faces_are_restricted_sampled_and_located_once(calls):
+    # four x from both slabs of split3 ask for wall 1; its merged face is
+    # restricted, sampled and located once, and each x is located once
+    eng = Engine(split3())
+    eng.graph()
+    restricts = calls(engine_module, "restrict")
+    samples = calls(engine_module, "sample_components")
+    locates = calls(engine_module, "locate_vertex")
+    xs = [(1, 1, 1), (F(9, 10), 1, F(11, 10)), (-1, -1, -1), (F(-11, 10), -1, F(-9, 10))]
+    certs = [eng.wall(x, 1).certificate for x in xs]
+    assert {c["x_canonical"]["vertex"]["component"] for c in certs} == {0, 1}
+    merged = sorted({tuple(t["face"]) for c in certs for t in c["trials"]})
+    assert sorted(lam.parts for _sys, lam in restricts) == merged
+    assert len(samples) == len(merged)
+    reps = {(tuple(t["face"]), tuple(t["representative"])) for c in certs for t in c["trials"]}
+    assert len(locates) == len(xs) + len(reps)
+
+
+def test_repeated_query_checks_each_point_once(calls):
+    # x is checked by symmetric and again by each wall it asks; the box
+    # and membership check runs once per distinct point all the same
+    eng = Engine(split3())
+    checks = calls(SymmetricSystem, "eval_membership")
+    x, y = (1, 1, 1), (F(11, 10), 1, F(9, 10))
+    for _ in range(3):
+        assert eng.symmetric(x, y).connected
+    counts = Counter(tuple(F(v) for v in args[1]) for args in checks)
+    assert set(counts) == {tuple(map(F, x)), tuple(map(F, y))}
+    assert max(counts.values()) == 1
+
+
+def test_wall_failure_is_not_memoized_and_faces_are_located_in_order(monkeypatch):
+    # the d = 4 ball merges two extremal faces at every wall, and the
+    # first merged face already holds a witness for the origin
+    x = (0,) * 5
+    want = Engine(d4_system(5, BALL4), D4CFG).wall(x, 1).certificate
+    eng = Engine(d4_system(5, BALL4), D4CFG)
+
+    def merged_faces(i):
+        return list(dict.fromkeys(merge_at_wall(f.lam, i) for f in eng.faces()))
+
+    real = engine_module.locate_vertex
+
+    def failing_on(bad):
+        def locate(g, point, lam):
+            if lam == bad:
+                raise LocateFailure("injected")
+            return real(g, point, lam)
+
+        return locate
+
+    # a face the loop never reaches is never located, so it cannot fail
+    first, late = merged_faces(1)
+    monkeypatch.setattr(engine_module, "locate_vertex", failing_on(late))
+    got = eng.wall(x, 1).certificate
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert {tuple(t["face"]) for t in got["trials"]} == {first.parts}
+    # a face the loop reaches fails on every call, and heals once it can
+    monkeypatch.setattr(engine_module, "locate_vertex", failing_on(merged_faces(2)[0]))
+    for _ in range(2):
+        with pytest.raises(LocateFailure):
+            eng.wall(x, 2)
+    monkeypatch.setattr(engine_module, "locate_vertex", real)
+    assert eng.wall(x, 2).connected
