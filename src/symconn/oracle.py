@@ -4,8 +4,8 @@ Two operations are needed by the rest of the package: one sample point per
 connected component of a region, and a yes/no connectivity answer for a
 pair of points in a region.  Both are served here by an explicitly
 approximate backend: classify the cells of a regular grid through the
-membership predicate, join face-adjacent feasible cells with a union-find,
-and halve the pitch until the class count repeats.  Every answer exposes
+membership predicate, join face-adjacent feasible cells into classes, and
+halve the pitch until the class count repeats.  Every answer exposes
 the resolution it was computed at, so callers can report it instead of
 pretending the result is exact.
 
@@ -23,6 +23,15 @@ constraint:
 A region that carries the chamber ordering z1 <= ... <= zl on a box with
 the same range on every axis walks only its sorted cells, the weakly
 increasing index tuples; the cells it skips fail the ordering anyway.
+The walk fixes one axis at a time and bounds every constraint over all
+the cells below the fixed prefix, in the same integer arithmetic: a
+prefix on which a constraint certainly fails is skipped whole, one on
+which it certainly holds stops testing it, and only the last axis is
+tested cell by cell.  A bound decides a constraint only where the cell
+test gives the same answer at every center below the prefix, so the
+feasible cells are those of testing every center.
+Feasible cells along the last axis form runs, and classes are unions of
+runs that overlap between neighboring rows.
 
 Query points (arguments of `connected`) get the laxer `Relation.holds`
 test instead, with the EQ delta as slack, because they are usually
@@ -33,7 +42,6 @@ to the face-adjacent feasible cells, if any.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,11 +187,43 @@ def point_feasible(
     return True, ""
 
 
-def _find(parent: dict, a: int) -> int:
+def _find(parent: list[int], a: int) -> int:
     while parent[a] != a:
         parent[a] = parent[parent[a]]
         a = parent[a]
     return a
+
+
+def _suffix_ranges(values: list[int]) -> list[tuple[int, int]]:
+    """(min, max) of values[s:] for every start s."""
+    out = []
+    lo = hi = values[-1]
+    for v in reversed(values):
+        lo, hi = min(lo, v), max(hi, v)
+        out.append((lo, hi))
+    return out[::-1]
+
+
+def _interval_mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    ends = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
+    return min(ends), max(ends)
+
+
+class _Atom:
+    """One constraint compiled against one grid's integer centers.
+
+    Its value at a cell is `const`, plus `tables[k][i_k]` on each axis k
+    that has a one-variable table, plus every mixed monomial j, whose
+    coefficient is `coeffs[j]` before any factor is fixed.  Fixing axis k
+    at index i multiplies in each monomial's factor from `fix[k]` and
+    moves the monomials in `closing[k]`, now fully fixed, into the
+    constant part.  Below a prefix of f fixed axes whose free indices
+    start at s, `free[f][s]` bounds the tables of the free axes, and
+    each monomial of `active[f]` has its free factors bounded by its
+    product range at s.  A cell passes when lo <= value (<= hi for EQ).
+    """
+
+    __slots__ = ("lo", "hi", "const", "tables", "coeffs", "fix", "closing", "free", "active")
 
 
 class _Grid:
@@ -193,13 +233,41 @@ class _Grid:
     for one common denominator D, and an atom g of total degree t is
     compiled to the integer polynomial L * D^t * g, where L clears its
     coefficient denominators; each cell test of the module docstring
-    (g >= 0, |g| <= delta, g >= gamma * pitch) then compares integers
-    against a threshold scaled by the same L * D^t.
+    (g >= 0, |g| <= delta, g >= gamma * pitch) then compares integers,
+    g * den >= thr or |g| * den <= thr with thr scaled by the same
+    L * D^t.  As g is an integer, these are the integer intervals
+    [ceil(thr / den), inf) and [-floor(thr / den), floor(thr / den)].
+
+    The walk fixes the axes in order, visiting prefixes lexicographically.
+    Below a fixed prefix every undecided atom is bounded over all the
+    cells that extend it.  Each free axis contributes the minimum and
+    maximum of its one-variable table from the first free index on
+    (suffix ranges, computed once per grid; the free indices of a sorted
+    walk start at the last fixed one, of a product walk at 0).  Each
+    mixed monomial contributes its fixed factors times the interval
+    product of its free factors' suffix ranges; those are ranges of
+    a^e over the actual centers, so an even power whose centers straddle
+    0 gets the value nearest 0 as its minimum.  These bounds hold for
+    the exact integer value at every center below the prefix, so an atom
+    whose bound lies outside its interval fails at all of them and the
+    prefix is skipped, and one whose bound lies inside holds at all of
+    them and is dropped for the subtree.  The last axis is tested cell
+    by cell against the prefix's partial sums.  The feasible set is
+    therefore the one the per-center test gives, with the same ties.
+    `tested` counts the centers that were tested.
+
+    Consecutive feasible cells along the last axis form a run.  A run is
+    joined to the overlapping runs of the row one step back along each
+    other axis, which covers every face adjacency.  Runs come out in
+    lexicographic order, so classes are numbered by their first cell in
+    that order and each representative is that cell's center, as in a
+    per-cell walk.  `feasible` maps each feasible cell's flat index to
+    its class.
     """
 
     def __init__(self, region: Region, cfg: OracleConfig, h: Fraction):
         self.h = h
-        self.dim = region.dim
+        self.dim = dim = region.dim
         delta = _effective_delta(cfg, h)
         margin = h * cfg.gt_gamma
         lo, hi = region.box
@@ -207,7 +275,7 @@ class _Grid:
         m: list[int] = []
         widths: list[Fraction] = []
         centers: list[list[Fraction]] = []
-        for k in range(region.dim):
+        for k in range(dim):
             span = hi[k] - lo[k]
             if span == 0:
                 m.append(1)
@@ -222,103 +290,189 @@ class _Grid:
         self.m = m
         self.widths = widths
         self.centers = centers
-        strides = [0] * region.dim
+        strides = [0] * dim
         s = 1
-        for k in reversed(range(region.dim)):
+        for k in reversed(range(dim)):
             strides[k] = s
             s *= m[k]
         self.strides = strides
 
         # on a uniform box the chamber atoms hold exactly on the weakly
         # increasing index tuples, so only those cells are walked
-        chamber = set(chamber_atoms(self.dim))
+        chamber = set(chamber_atoms(dim))
         sorted_walk = chamber <= set(region.requires) and all(c == centers[0] for c in centers)
         requires = [a for a in region.requires if not (sorted_walk and a in chamber)]
 
         D = math.lcm(*(c.denominator for axis in centers for c in axis))
         nums = [[c.numerator * (D // c.denominator) for c in axis] for axis in centers]
+        powers: dict[tuple[int, int], list[int]] = {}
+        for poly, _ in requires:
+            for exp in poly.terms:
+                for k, e in enumerate(exp):
+                    if e and (k, e) not in powers:
+                        powers[k, e] = [a**e for a in nums[k]]
+        ranges = {key: _suffix_ranges(p) for key, p in powers.items()}
+        # bounds are kept for every start index the walk can pass down
+        starts = m[0] if sorted_walk else 1
+        last = dim - 1
 
-        def compile_atom(atom: Atom):
-            # L * D^t * g as a constant, per-axis tables that sum the
-            # one-variable terms at every cell, and the mixed terms
+        def compile_atom(atom: Atom) -> _Atom:
             poly, rel = atom
             t = poly.total_degree()
             L = math.lcm(*(c.denominator for c in poly.terms.values()))
-            const, tables, mixed = 0, {}, []
+            out = _Atom()
+            out.const, out.tables, monos = 0, [None] * dim, []
             for exp, c in poly.terms.items():
                 coeff = c.numerator * (L // c.denominator) * D ** (t - sum(exp))
                 factors = [(k, e) for k, e in enumerate(exp) if e]
                 if not factors:
-                    const += coeff
+                    out.const += coeff
                 elif len(factors) == 1:
                     k, e = factors[0]
-                    table = tables.setdefault(k, [0] * m[k])
-                    for i, a in enumerate(nums[k]):
-                        table[i] += coeff * a**e
+                    table = out.tables[k] or [0] * m[k]
+                    out.tables[k] = [a + coeff * b for a, b in zip(table, powers[k, e])]
                 else:
-                    mixed.append((coeff, factors))
+                    monos.append((coeff, factors))
             eq = rel is Relation.EQ
             bound = delta if eq else margin if rel is Relation.GT else Fraction(0)
-            threshold = bound.numerator * L * D**t
-            return const, list(tables.items()), mixed, eq, bound.denominator, threshold
-
-        def holds(atom, idx) -> bool:
-            g, tables, mixed, eq, den, threshold = atom
-            for k, table in tables:
-                g += table[idx[k]]
-            for c, factors in mixed:
+            thr, den = bound.numerator * L * D**t, bound.denominator
+            out.lo, out.hi = (-(thr // den), thr // den) if eq else (-(-thr // den), None)
+            out.coeffs = tuple(c for c, _ in monos)
+            out.fix = [[] for _ in range(dim)]
+            out.closing = [[] for _ in range(dim)]
+            out.active = [[] for _ in range(dim + 1)]
+            for j, (_, factors) in enumerate(monos):
                 for k, e in factors:
-                    c *= nums[k][idx[k]] ** e
-                g += c
-            return abs(g) * den <= threshold if eq else g * den >= threshold
+                    out.fix[k].append((j, powers[k, e]))
+                out.closing[factors[-1][0]].append(j)
+                for f in range(factors[-1][0] + 1):
+                    prod = [(1, 1)] * starts
+                    for k, e in factors:
+                        if k >= f:
+                            prod = [_interval_mul(p, q) for p, q in zip(prod, ranges[k, e])]
+                    out.active[f].append((j, prod))
+            out.free = [[(0, 0)] * starts]
+            for k in reversed(range(dim)):
+                r = _suffix_ranges(out.tables[k]) if out.tables[k] else [(0, 0)] * starts
+                out.free.append([(a + c, b + d) for (a, b), (c, d) in zip(out.free[-1], r)])
+            out.free.reverse()
+            return out
 
-        req = [compile_atom(a) for a in requires]
+        def decide(atom: _Atom, base: int, cs, f: int, s: int) -> int:
+            # -1: fails on every cell below the prefix, 1: holds on all
+            glo, ghi = atom.free[f][s]
+            glo += base
+            ghi += base
+            for j, prod in atom.active[f]:
+                c = cs[j]
+                pl, ph = prod[s]
+                if c >= 0:
+                    glo += c * pl
+                    ghi += c * ph
+                else:
+                    glo += c * ph
+                    ghi += c * pl
+            if ghi < atom.lo or (atom.hi is not None and glo > atom.hi):
+                return -1
+            return 1 if glo >= atom.lo and (atom.hi is None or ghi <= atom.hi) else 0
 
-        def ok(idx: tuple[int, ...]) -> bool:
-            # a plain loop: every cell passes here, and a generator per
-            # cell doubled the grid time
-            for atom in req:
-                if not holds(atom, idx):
-                    return False
-            return True
+        runs: list[tuple[int, int, int]] = []  # (row, first, last) in walk order
+        row_runs: dict[int, list[tuple[int, int, int]]] = {}  # row: (first, last, run)
+        parent: list[int] = []
+        prefix = [0] * dim
+        tested = 0
 
-        if sorted_walk:
-            cells = itertools.combinations_with_replacement(range(m[0]), region.dim)
-        else:
-            cells = itertools.product(*(range(c) for c in m))
-        feasible: set[int] = set()
-        parent: dict[int, int] = {}
-        order: list[int] = []
-        # lexicographic walk; the smaller neighbor along each axis was
-        # already visited, so one backward look per axis suffices
-        for idx in cells:
-            if not ok(idx):
-                continue
-            flat = 0
-            for i, st in zip(idx, strides):
-                flat += i * st
-            feasible.add(flat)
-            parent[flat] = flat
-            order.append(flat)
-            for k in range(region.dim):
-                if idx[k]:
-                    nb = flat - strides[k]
-                    if nb in feasible:
-                        ra, rb = _find(parent, flat), _find(parent, nb)
+        def emit(row: int, a: int, b: int) -> None:
+            r = len(runs)
+            runs.append((row, a, b))
+            parent.append(r)
+            row_runs.setdefault(row, []).append((a, b, r))
+            for k in range(last):
+                if not prefix[k]:
+                    continue
+                for c, d, q in row_runs.get(row - strides[k], ()):
+                    if c > b:
+                        break
+                    if d >= a:
+                        ra, rb = _find(parent, r), _find(parent, q)
                         if ra != rb:
                             parent[ra] = rb
-        self.feasible = feasible
-        self._parent = parent
-        roots: dict[int, int] = {}
+
+        def scan_row(row: int, s: int, states) -> None:
+            nonlocal tested
+            if not states:
+                emit(row, s, m[last] - 1)
+                return
+            tested += m[last] - s
+            cand = range(s, m[last])
+            for atom, base, cs in states:
+                vals = atom.tables[last] or [0] * m[last]
+                for j, pw in atom.fix[last]:
+                    c = cs[j]
+                    vals = [v + c * p for v, p in zip(vals, pw)]
+                a = atom.lo - base
+                if atom.hi is None:
+                    cand = [i for i in cand if vals[i] >= a]
+                else:
+                    b = atom.hi - base
+                    cand = [i for i in cand if a <= vals[i] <= b]
+            start = prev = -2
+            for i in cand:
+                if i != prev + 1:
+                    if start >= 0:
+                        emit(row, start, prev)
+                    start = i
+                prev = i
+            if start >= 0:
+                emit(row, start, prev)
+
+        def walk(f: int, row: int, s: int, states) -> None:
+            if f == last:
+                scan_row(row, s, states)
+                return
+            for i in range(s, m[f]):
+                prefix[f] = i
+                t = i if sorted_walk else 0
+                kept = []
+                for atom, base, cs in states:
+                    if atom.tables[f]:
+                        base += atom.tables[f][i]
+                    if atom.fix[f]:
+                        cs = list(cs)
+                        for j, pw in atom.fix[f]:
+                            cs[j] *= pw[i]
+                        for j in atom.closing[f]:
+                            base += cs[j]
+                    verdict = decide(atom, base, cs, f + 1, t)
+                    if verdict < 0:
+                        break
+                    if verdict == 0:
+                        kept.append((atom, base, cs))
+                else:
+                    walk(f + 1, row + i * strides[f], t, kept)
+
+        states = []
+        for atom in map(compile_atom, requires):
+            verdict = decide(atom, atom.const, atom.coeffs, 0, 0)
+            if verdict < 0:
+                break
+            if verdict == 0:
+                states.append((atom, atom.const, atom.coeffs))
+        else:
+            walk(0, 0, 0, states)
+        self.tested = tested
+
+        classes: dict[int, int] = {}
         reps: list[tuple[Fraction, ...]] = []
-        for flat in order:
-            r = _find(parent, flat)
-            if r not in roots:
-                roots[r] = len(roots)
-                reps.append(self.center_of(self.unflatten(flat)))
-        self._roots = roots
+        feasible: dict[int, int] = {}
+        for r, (row, a, b) in enumerate(runs):
+            cls = classes.setdefault(_find(parent, r), len(classes))
+            if cls == len(reps):
+                reps.append(self.center_of(self.unflatten(row + a)))
+            feasible.update(dict.fromkeys(range(row + a, row + b + 1), cls))
+        self.feasible = feasible
         self.representatives = reps
-        self.class_count = len(roots)
+        self.class_count = len(classes)
 
     def unflatten(self, flat: int) -> tuple[int, ...]:
         return tuple((flat // self.strides[k]) % self.m[k] for k in range(self.dim))
@@ -341,9 +495,7 @@ class _Grid:
         flat = 0
         for i, st in zip(idx, self.strides):
             flat += i * st
-        if flat not in self.feasible:
-            return None
-        return self._roots[_find(self._parent, flat)]
+        return self.feasible.get(flat)
 
     def classes_near(self, idx: tuple[int, ...]) -> set[int]:
         """Class of the cell, or of its feasible face neighbors."""

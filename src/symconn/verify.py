@@ -16,7 +16,7 @@ from pathlib import Path
 from .compositions import apply_transpositions, sorting_transpositions
 from .engine import connectivity_symmetric, get_engine
 from .errors import ParseError
-from .oracle import brute_force_connected
+from .oracle import connected, full_space_region
 from .problemfile import build_config, parse_problem
 
 __all__ = ["run_verify"]
@@ -57,12 +57,15 @@ def run_verify(
         engine = get_engine(pf.system, cfg, pattern)
         rows = []
         fixture_agree = 0
+        region = None  # built inside the first query's brute-force timing
         for q in pf.queries:
             xs, ys = _sort_and_conjugate(q.x, q.y)
             t0 = time.perf_counter()
             ev = engine.symmetric(xs, ys)
             t1 = time.perf_counter()
-            bv = brute_force_connected(pf.system, q.x, q.y, cfg)
+            if region is None:
+                region = full_space_region(pf.system)
+            bv = connected(region, q.x, q.y, cfg)
             t2 = time.perf_counter()
             agree = ev.connected == bv
             row = {

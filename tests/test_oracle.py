@@ -1,11 +1,18 @@
 """Grid oracle: frozen examples and contract properties."""
 
+import hashlib
 import itertools
+import json
+import math
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from symconn.engine import Engine
 from symconn.errors import DomainError, PreconditionError
 from symconn.oracle import (
     OracleConfig,
@@ -25,9 +32,14 @@ from symconn.polynomials import (
     PowerSumPoly,
     Relation,
     SymmetricSystem,
+    chamber_atoms,
     make_box,
     restrict,
 )
+from symconn.problemfile import build_config, parse_problem
+from symconn.uniongraph import intersection_region
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def var(n, k):
@@ -425,3 +437,169 @@ def test_grid_kernel_matches_reference_on_exact_ties(rel, from_config, chamber):
     assert {idx: grid.class_of_cell(idx) for idx in cells} == cells
     assert grid.representatives == reps
     assert grid.feasible
+
+
+# -- the pruned walk against the per-cell reference ------------------------------
+
+
+@st.composite
+def pruned_walk_cases(draw, sorted_walk):
+    """A region, config and pitch on which the prefix bounds decide something.
+
+    The first atom is a ball around a cell center (a sorted one for a
+    sorted walk) with a radius of 2 cells, or up to a third of the axis on
+    longer axes, so some prefix lies outside it and is skipped.  Up to two
+    more atoms add up to three one-variable terms to a mixed monomial,
+    mostly with an even power, on boxes whose centers straddle 0.  Their
+    constant puts a cell center, the ball's or a drawn one, exactly on the
+    threshold: 0 for GE, the margin for GT, plus or minus the slab width
+    for EQ.
+    """
+    h = draw(st.sampled_from((F(1, 4), F(1, 3), F(2, 7))))
+    if sorted_walk:
+        dim = draw(st.integers(4, 5))
+        counts = [draw(st.integers(6, 7)) if dim == 4 else 5] * dim
+        starts = [draw(st.sampled_from((F(-1, 2), F(-2, 3), F(-1, 3))))] * dim
+    else:
+        dim = draw(st.integers(2, 3))
+        counts = [draw(st.integers(12, 20 if dim == 2 else 14)) for _ in range(dim)]
+        starts = [draw(st.sampled_from((F(-2), F(-3, 2), F(-4, 3), F(-1)))) for _ in range(dim)]
+    box = (tuple(starts), tuple(a + c * h for a, c in zip(starts, counts)))
+    cfg = OracleConfig(
+        gt_gamma=draw(st.sampled_from((F(1), F(0), F(2, 3)))),
+        eq_delta=draw(st.sampled_from((None, F(1, 5), F(1, 3)))),
+    )
+    delta = h if cfg.eq_delta is None else cfg.eq_delta
+
+    def center():
+        idx = [draw(st.integers(0, c - 1)) for c in counts]
+        return tuple(a + h * F(2 * i + 1, 2) for a, i in zip(starts, sorted(idx) if sorted_walk else idx))
+
+    mid = center()
+    radius = h * draw(st.integers(2, max(2, min(counts) // 3)))
+    ball = ExpandedPoly.constant(dim, radius**2)
+    for k in range(dim):
+        ball = ball - (var(dim, k + 1) - mid[k]) ** 2
+    requires = [(ball, draw(st.sampled_from((Relation.GE, Relation.GT))))]
+    coeffs = st.sampled_from((F(1), F(-1), F(-3, 2), F(2), F(-4, 3), F(5, 2)))
+    for _ in range(draw(st.integers(0, 2))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exp = [0] * dim
+            exp[draw(st.integers(0, dim - 1))] = draw(st.integers(1, 3))
+            terms[tuple(exp)] = draw(coeffs)
+        j, k = sorted(draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)))
+        exp = [0] * dim
+        exp[j], exp[k] = draw(st.sampled_from(((2, 2), (1, 1), (2, 1), (1, 2), (2, 3))))
+        terms[tuple(exp)] = draw(coeffs)
+        poly = ExpandedPoly(dim, terms)
+        rel = draw(st.sampled_from((Relation.EQ, Relation.GT, Relation.GE)))
+        target = {
+            Relation.GE: F(0),
+            Relation.GT: h * cfg.gt_gamma,
+            Relation.EQ: draw(st.sampled_from((delta, -delta))),
+        }[rel]
+        tie = center() if draw(st.booleans()) else mid
+        requires.append((poly + (target - poly.eval(tie)), rel))
+    if sorted_walk:
+        requires += chamber_atoms(dim)
+    return Region(dim=dim, requires=tuple(requires), box=box), cfg, h
+
+
+def check_pruned_walk(region, cfg, h, walked):
+    grid = _Grid(region, cfg, h)
+    cells, reps = reference_classes(region, cfg, h)
+    assert {idx: grid.class_of_cell(idx) for idx in cells} == cells
+    assert len(grid.feasible) == sum(c is not None for c in cells.values())
+    assert grid.representatives == reps
+    # the ball skips at least one prefix, so some walked cell is never tested
+    assert grid.tested < walked
+
+
+@given(pruned_walk_cases(sorted_walk=False))
+def test_pruned_product_walk_matches_reference(case):
+    region, cfg, h = case
+    check_pruned_walk(region, cfg, h, math.prod(_Grid(region, cfg, h).m))
+
+
+@given(pruned_walk_cases(sorted_walk=True))
+def test_pruned_sorted_walk_matches_reference(case):
+    region, cfg, h = case
+    m = _Grid(region, cfg, h).m
+    check_pruned_walk(region, cfg, h, math.comb(m[0] + region.dim - 1, region.dim))
+
+
+@pytest.mark.parametrize(
+    "poly,rel,cfg",
+    [
+        (var(2, 2) - 1, Relation.GE, OracleConfig()),
+        (var(2, 2), Relation.GT, OracleConfig(gt_gamma=F(1))),
+        (var(2, 2) - 1, Relation.EQ, OracleConfig(eq_delta=F(1, 3))),
+        (var(2, 2), Relation.EQ, OracleConfig(eq_delta=F(1))),
+    ],
+)
+def test_prefix_bounds_decide_to_the_last_unit(poly, rel, cfg):
+    # centers are half-integers, so the compiled value is 2 * poly and
+    # steps by 1 between cells.  Over z2 in {1/2, 3/2} each atom misses its
+    # threshold by one unit at one center: GE -1 against 0, GT 1 against
+    # the margin 2, EQ 1 against floor(2/3) = 0 (so no cell passes), and
+    # EQ 3 against 2.  The whole-grid bound must leave such an atom
+    # undecided, and the near miss must fail its cell test.
+    region = Region(dim=2, requires=((poly, rel),), box=((F(0), F(0)), (F(4), F(2))))
+    grid = _Grid(region, cfg, F(1))
+    cells, reps = reference_classes(region, cfg, F(1))
+    assert {idx: grid.class_of_cell(idx) for idx in cells} == cells
+    assert grid.representatives == reps
+    assert len(grid.feasible) < len(cells)
+
+
+def test_pruning_skips_most_of_the_brute_force_ball():
+    # ball3's full-space grid at its final pitch (h = 1/4) walks 16^3
+    # cells; the rows whose (z1, z2) prefix misses the unit disk are
+    # skipped whole, so about a fifth of the cells get tested.  A walk
+    # that tests every center fails the bound.
+    pf = parse_problem((FIXTURES / "ball3.json").read_bytes())
+    res = resolve_region(full_space_region(pf.system), build_config(pf.config))
+    grid = res._grid
+    walked = math.prod(grid.m)
+    assert walked == 16**3
+    assert grid.feasible
+    assert grid.tested <= walked // 4
+
+
+# -- grid golden digest ---------------------------------------------------------
+
+# SHA-256 over the final grid of every region the top-level fixtures
+# classify: the face regions of each union graph, the regions where its
+# faces meet, and the full-space region of the brute-force reference, at
+# the fixture's config.  Each grid contributes its final pitch, its sorted
+# feasible cells, its class count and its representatives.  It guards the
+# grids, not the speed of building them; the value was computed with the
+# walk that tested every cell center, before the pruned walk replaced it.
+GRID_DIGEST = "073f4206e2d31d99d276157102feec30340e5b848f8855cad6e4e888a6944dbf"
+
+
+def test_grid_golden_digest():
+    digest = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.json")):
+        pf = parse_problem(path.read_bytes())
+        cfg = build_config(pf.config)
+        faces = Engine(pf.system, cfg).graph().faces
+        regions = [face_region(f) for f in faces]
+        for fi, fj in itertools.combinations(faces, 2):
+            made = intersection_region(fi, fj)
+            if made is not None:
+                regions.append(made[0])
+        regions.append(full_space_region(pf.system))
+        for region in regions:
+            grid = resolve_region(region, cfg)._grid
+            record = {
+                "h": str(grid.h),
+                "cells": sorted(grid.unflatten(f) for f in grid.feasible),
+                "classes": grid.class_count,
+                "reps": [[str(c) for c in r] for r in grid.representatives],
+            }
+            digest.update(f"{path.name} ".encode())
+            digest.update(json.dumps(record).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == GRID_DIGEST
