@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .compositions import apply_transpositions, sorting_transpositions
-from .engine import get_engine
+from .engine import _decimal_json, _point_json, _vertex_json, get_engine
 from .errors import (
     DomainError,
     LocateFailure,
@@ -50,9 +50,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="thickness of equality constraints (default: track the pitch)")
     p.add_argument("--max-depth", type=int, default=None, metavar="K",
                    help="maximum number of grid refinements (default 5)")
-    p.add_argument("--pattern", choices=("definition", "mirrored"),
-                   default="definition",
-                   help="which extremal face family to use")
 
 
 def _load_problem(path: str):
@@ -99,7 +96,7 @@ def _cmd_check(args) -> int:
     if args.auto_canonicalize:
         word, x = sorting_transpositions(x)
         y = apply_transpositions(y, word)
-    eng = get_engine(pf.system, _config(pf, args), args.pattern)
+    eng = get_engine(pf.system, _config(pf, args))
     v = eng.symmetric(x, y)
     _emit({"command": "check", "connected": v.connected, "certificate": v.certificate})
     return 0 if v.connected else 1
@@ -109,7 +106,7 @@ def _cmd_check_orbit(args) -> int:
     pf = _load_problem(args.system)
     x = tuple(sorted(_resolve_point(args.x, pf, "x")))
     y = tuple(sorted(_resolve_point(args.y, pf, "y")))
-    eng = get_engine(pf.system, _config(pf, args), args.pattern)
+    eng = get_engine(pf.system, _config(pf, args))
     v = eng.canonical(x, y)
     _emit(
         {"command": "check-orbit", "connected": v.connected, "certificate": v.certificate}
@@ -122,7 +119,7 @@ def _cmd_wall(args) -> int:
     x = _resolve_point(args.x, pf, "x")
     if args.auto_canonicalize:
         _, x = sorting_transpositions(x)
-    eng = get_engine(pf.system, _config(pf, args), args.pattern)
+    eng = get_engine(pf.system, _config(pf, args))
     v = eng.wall(x, args.index)
     _emit({"command": "wall", "connected": v.connected, "certificate": v.certificate})
     return 0 if v.connected else 1
@@ -133,7 +130,7 @@ def _cmd_min_canonical(args) -> int:
     x = _resolve_point(args.x, pf, "x")
     sys_ = pf.system
     a = vandermonde_map(x, sys_.d)
-    cp = min_canonical(sys_.n, sys_.d, a, pattern=args.pattern)
+    cp = min_canonical(sys_.n, sys_.d, a)
     if cp is None:
         raise SolverError("no extremal face meets this fiber")
     eps = Fraction(1, 10**12)
@@ -142,11 +139,11 @@ def _cmd_min_canonical(args) -> int:
     _emit(
         {
             "command": "min-canonical",
-            "fiber": [str(v) for v in a],
+            "fiber": _point_json(a),
             "face": list(cp.lam.parts),
             "type": list(emb.multiplicity_runs()),
-            "block_point_decimal": [round(float(v), 9) for v in cp.point.approx(eps)],
-            "point_decimal": [round(float(v), 9) for v in emb.approx(eps)],
+            "block_point_decimal": _decimal_json(cp.point.approx(eps)),
+            "point_decimal": _decimal_json(emb.approx(eps)),
             "point_exact": emb.payload(),
             "minimized_power_sum": sys_.d + 1,
             "value_decimal": round(float((vlo + vhi) / 2), 9),
@@ -157,26 +154,15 @@ def _cmd_min_canonical(args) -> int:
 
 def _cmd_graph(args) -> int:
     pf = _load_problem(args.system)
-    eng = get_engine(pf.system, _config(pf, args), args.pattern)
+    eng = get_engine(pf.system, _config(pf, args))
     g = eng.graph()
-    vertices = []
-    for k, v in enumerate(g.vertices):
-        vertices.append(
-            {
-                "index": k,
-                "set": v.face + 1,
-                "representative": [str(c) for c in v.representative],
-                "representative_decimal": [
-                    round(float(c), 9) for c in v.representative
-                ],
-                "component": g.labels[k],
-            }
-        )
     _emit(
         {
             "command": "graph",
             "faces": [list(f.lam.parts) for f in g.faces],
-            "vertices": vertices,
+            "vertices": [
+                {"index": k, **_vertex_json(g, k)} for k in range(len(g.vertices))
+            ],
             "edges": [list(e) for e in g.edges],
             "components": g.component_count,
             "resolutions": eng._graph_json()["resolutions"],
@@ -191,7 +177,6 @@ def _cmd_verify(args) -> int:
         h=args.grid_h,
         eq_delta=args.eq_delta,
         max_depth=args.max_depth,
-        pattern=args.pattern,
     )
     _emit({"command": "verify", **report})
     return 0 if report["all_agree"] else 1

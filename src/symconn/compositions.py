@@ -109,18 +109,16 @@ def all_compositions(n: int) -> list[Composition]:
     return out
 
 
-def extremal_compositions(n: int, d: int, pattern: str = "definition") -> list[Composition]:
+def extremal_compositions(n: int, d: int) -> list[Composition]:
     """Length-d compositions of n whose faces can host fiber extrema.
 
-    These carry 1s at alternating positions: ``pattern="definition"`` anchors
-    them on the left (parts 1, 3, 5, ... equal 1), ``pattern="mirrored"`` on
-    the right (parts d, d-2, ... equal 1).  The two agree for odd d.  For
-    d = 1 the convention is the single composition (n).
+    These carry 1s at alternating positions anchored on the left: parts
+    1, 3, 5, ... equal 1.  Every nonempty fiber is connected and meets
+    one of these faces, so this one family is all the reduction needs.
+    For d = 1 the convention is the single composition (n).
     """
     if d < 1 or d > n:
         raise DomainError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if pattern not in ("definition", "mirrored"):
-        raise DomainError(f"unknown pattern {pattern!r}")
     if d == 1:
         return [Composition((n,))]
     ones = [2 * i for i in range(0, (d + 1) // 2)]  # 0-based positions fixed to 1
@@ -134,11 +132,6 @@ def extremal_compositions(n: int, d: int, pattern: str = "definition") -> list[C
         for slot, val in zip(free, comp_free.parts):
             parts[slot] = val
         out.append(Composition(tuple(parts)))
-    if pattern == "mirrored":
-        out = sorted(
-            (Composition(tuple(reversed(c.parts))) for c in out),
-            key=lambda c: c.parts,
-        )
     return out
 
 

@@ -13,8 +13,8 @@ plus each (x, wall) verdict.  Certificates share the memoized records,
 the config, the face list and the graph summary as sub-dicts, so they
 must be treated as read-only.  A failure is never memoized: a query that
 raised raises again when asked again.  The module-level helpers keep one
-engine per (system, config, pattern) triple, so repeated queries against
-the same system reuse all of it.
+engine per (system, config) pair, so repeated queries against the same
+system reuse all of it.
 
 Three deciders are exposed.  `connectivity_symmetric_canonical` answers
 whether two weakly increasing feasible points lie in the same component
@@ -53,7 +53,7 @@ from .compositions import (
     merge_at_wall,
     sorting_transpositions,
 )
-from .errors import PreconditionError, SolverError
+from .errors import LocateFailure, PreconditionError, SolverError
 from .oracle import OracleConfig, face_region, sample_components
 from .polynomials import (
     FaceSystem,
@@ -86,13 +86,8 @@ class Verdict:
         return self.connected
 
 
-def _frac_str(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _point_json(x) -> list[str]:
-    return [_frac_str(v) for v in x]
+    return [str(Fraction(v)) for v in x]
 
 
 def _decimal_json(x) -> list[float]:
@@ -101,16 +96,16 @@ def _decimal_json(x) -> list[float]:
 
 def _config_json(cfg: OracleConfig) -> dict:
     return {
-        "h": _frac_str(cfg.h),
-        "eq_delta": None if cfg.eq_delta is None else _frac_str(cfg.eq_delta),
-        "gt_gamma": _frac_str(cfg.gt_gamma),
+        "h": str(Fraction(cfg.h)),
+        "eq_delta": None if cfg.eq_delta is None else str(Fraction(cfg.eq_delta)),
+        "gt_gamma": str(Fraction(cfg.gt_gamma)),
         "max_depth": cfg.max_depth,
     }
 
 
 def _summary_json(s) -> dict:
     return {
-        "h_final": _frac_str(s.h_final),
+        "h_final": str(Fraction(s.h_final)),
         "cells": s.cells,
         "classes": s.classes,
         "levels": list(s.level_counts),
@@ -128,14 +123,16 @@ def _vertex_json(g: UnionGraph, idx: int) -> dict:
     }
 
 
-def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...], list]:
     """Rational stand-in for an algebraic point.
 
     One rational per run of equal coordinates, so block-constancy checks
     downstream see exact equality; runs are separated finely enough to
     keep their strict order.  Each run value is clamped into the box, so
     a point sitting exactly on the boundary cannot drift outside by
-    rounding.
+    rounding.  A clamp that moves a run value by more than its
+    approximation width means the point itself leaves the box; each such
+    run is reported as (first coordinate, approximate value, box bound).
     """
     runs = emb.multiplicity_runs()
     starts, pos = [], 0
@@ -153,27 +150,25 @@ def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...]
         raise SolverError("could not separate distinct coordinate values numerically")
     lo, hi = box
     out: list[Fraction] = []
+    clamped = []
     pos = 0
     for r, v in zip(runs, reps):
         a = max(lo[pos : pos + r])
         b = min(hi[pos : pos + r])
-        out.extend([min(max(v, a), b)] * r)
+        c = min(max(v, a), b)
+        if abs(c - v) > eps:
+            clamped.append((pos + 1, v, c))
+        out.extend([c] * r)
         pos += r
-    return tuple(out), runs
+    return tuple(out), runs, clamped
 
 
 class Engine:
     """Per-system state: extremal faces, union graph, memoized queries."""
 
-    def __init__(
-        self,
-        sys: SymmetricSystem,
-        cfg: OracleConfig | None = None,
-        pattern: str = "definition",
-    ):
+    def __init__(self, sys: SymmetricSystem, cfg: OracleConfig | None = None):
         self.sys = sys
         self.cfg = cfg if cfg is not None else OracleConfig()
-        self.pattern = pattern
         self._faces: tuple[FaceSystem, ...] | None = None
         self._faces_json: list | None = None
         self._cfg_json = _config_json(self.cfg)
@@ -187,7 +182,7 @@ class Engine:
 
     def faces(self) -> tuple[FaceSystem, ...]:
         if self._faces is None:
-            lams = extremal_compositions(self.sys.n, self.sys.d, pattern=self.pattern)
+            lams = extremal_compositions(self.sys.n, self.sys.d)
             self._faces = tuple(restrict(self.sys, lam) for lam in lams)
             self._faces_json = [list(lam.parts) for lam in lams]
         return self._faces
@@ -235,18 +230,19 @@ class Engine:
         if hit is not None:
             return hit
         a = vandermonde_map(xs, self.sys.d)
-        cp = min_canonical(self.sys.n, self.sys.d, a, pattern=self.pattern)
+        cp = min_canonical(self.sys.n, self.sys.d, a)
         if cp is None:
             raise SolverError(
                 "no extremal face meets the fiber of a feasible point; "
                 "this indicates lost real roots in the solver"
             )
-        rational, runs = _rational_embedding(cp.embedded_point(), self.sys.box)
+        rational, runs, clamped = _rational_embedding(cp.embedded_point(), self.sys.box)
         data = {
             "fiber": a,
             "canonical": cp,
             "rational": rational,
             "home": composition(runs),
+            "clamped": clamped,
         }
         self._canon[xs] = data
         return data
@@ -255,10 +251,23 @@ class Engine:
         """Graph vertex of a canonical point, located once.
 
         The point's certificate record is built with it and kept in the
-        same `_canon` entry as `data["json"]`.
+        same `_canon` entry as `data["json"]`.  When the canonical point
+        left the box and was clamped back into it, a failure to locate
+        names the box as the cause instead of the grid.
         """
         if "vertex" not in data:
-            idx = locate_vertex(self.graph(), data["rational"], data["home"])
+            try:
+                idx = locate_vertex(self.graph(), data["rational"], data["home"])
+            except LocateFailure as e:
+                if not data["clamped"]:
+                    raise
+                k, v, bound = data["clamped"][0]
+                raise LocateFailure(
+                    "no graph vertex connects to the query point",
+                    advice=f"the canonical point has x{k} ~ {float(v):.6g}, beyond "
+                    f"the box bound {bound}, and was clamped onto the box: widen "
+                    "the system box to contain it",
+                ) from e
             data["json"] = self._canonical_json(data, idx)
             data["vertex"] = idx
         return data["vertex"]
@@ -302,7 +311,6 @@ class Engine:
         cert = {
             "kind": "orbit",
             "connected": same,
-            "pattern": self.pattern,
             "config": self._cfg_json,
             "faces": self._faces_json,
             "x": _point_json(xs),
@@ -360,7 +368,6 @@ class Engine:
             "kind": "wall",
             "wall": i,
             "connected": connected,
-            "pattern": self.pattern,
             "config": self._cfg_json,
             "x": _point_json(xs),
             "x_canonical": dx["json"],
@@ -447,7 +454,6 @@ class Engine:
         cert = {
             "kind": "symmetric",
             "connected": connected,
-            "pattern": self.pattern,
             "config": self._cfg_json,
             "x": _point_json(xs),
             "y": _point_json(ys),
@@ -462,17 +468,13 @@ class Engine:
 _ENGINES: dict = {}
 
 
-def get_engine(
-    sys: SymmetricSystem,
-    cfg: OracleConfig | None = None,
-    pattern: str = "definition",
-) -> Engine:
-    """Engine for the triple (system, config, pattern), cached."""
+def get_engine(sys: SymmetricSystem, cfg: OracleConfig | None = None) -> Engine:
+    """Engine for the pair (system, config), cached."""
     cfg = cfg if cfg is not None else OracleConfig()
-    key = (sys, cfg, pattern)
+    key = (sys, cfg)
     eng = _ENGINES.get(key)
     if eng is None:
-        eng = Engine(sys, cfg, pattern)
+        eng = Engine(sys, cfg)
         _ENGINES[key] = eng
         while len(_ENGINES) > 16:
             _ENGINES.pop(next(iter(_ENGINES)))
@@ -484,10 +486,9 @@ def connectivity_symmetric_canonical(
     x: Sequence,
     y: Sequence,
     cfg: OracleConfig | None = None,
-    pattern: str = "definition",
 ) -> Verdict:
     """Are the orbits of the sorted points x and y connected inside S?"""
-    return get_engine(sys, cfg, pattern).canonical(x, y)
+    return get_engine(sys, cfg).canonical(x, y)
 
 
 def connected_wall(
@@ -495,10 +496,9 @@ def connected_wall(
     x: Sequence,
     i: int,
     cfg: OracleConfig | None = None,
-    pattern: str = "definition",
 ) -> Verdict:
     """Does the component of x in the sorted slice meet x_i = x_{i+1}?"""
-    return get_engine(sys, cfg, pattern).wall(x, i)
+    return get_engine(sys, cfg).wall(x, i)
 
 
 def connectivity_symmetric(
@@ -506,7 +506,6 @@ def connectivity_symmetric(
     x: Sequence,
     y: Sequence,
     cfg: OracleConfig | None = None,
-    pattern: str = "definition",
 ) -> Verdict:
     """Are x and y connected inside S?  x must be sorted, y may not be."""
-    return get_engine(sys, cfg, pattern).symmetric(x, y)
+    return get_engine(sys, cfg).symmetric(x, y)

@@ -109,14 +109,20 @@ def _box_on(face: FaceSystem, mu: Composition):
 
 
 def intersection_region(fi: FaceSystem, fj: FaceSystem) -> tuple[Region, Composition] | None:
-    """S_i and S_j on their join face; None when the boxes miss each other."""
+    """S_i and S_j on their join face; None when the boxes miss each other.
+
+    Faces of one system restrict the same constraints, which meet again
+    on the join, so an atom of S_j joins only when S_i lacks it.
+    """
     mu = join(fi.lam, fj.lam)
     ell = mu.length
-    req = []
-    for face in (fi, fj):
-        q = _quotient(face.lam, mu)
-        for poly, rel in face.constraints:
-            req.append((block_substitute(poly, q), rel))
+    qi, qj = _quotient(fi.lam, mu), _quotient(fj.lam, mu)
+    req = [(block_substitute(poly, qi), rel) for poly, rel in fi.constraints]
+    own = set(req)
+    for poly, rel in fj.constraints:
+        atom = (block_substitute(poly, qj), rel)
+        if atom not in own:
+            req.append(atom)
     req.extend(chamber_atoms(ell))
     lo1, hi1 = _box_on(fi, mu)
     lo2, hi2 = _box_on(fj, mu)

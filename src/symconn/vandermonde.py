@@ -463,9 +463,7 @@ class CanonicalPoint:
         )
 
 
-def min_canonical(
-    n: int, d: int, a: Sequence, pattern: str = "definition"
-) -> CanonicalPoint | None:
+def min_canonical(n: int, d: int, a: Sequence) -> CanonicalPoint | None:
     """Canonical representative of the fiber over a in the sorted chamber.
 
     Candidates are the ordered real solutions on every extremal face; the
@@ -482,7 +480,7 @@ def min_canonical(
     if len(a) != d:
         raise DomainError(f"need {d} power-sum values, got {len(a)}")
     best = None
-    for lam in extremal_compositions(n, d, pattern=pattern):
+    for lam in extremal_compositions(n, d):
         for pt in fiber_points(lam.parts, a):
             val = power_sum_value(pt, lam.parts, d + 1)
             if best is None or val.compare(best.value) < 0:

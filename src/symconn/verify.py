@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .compositions import apply_transpositions, sorting_transpositions
-from .engine import connectivity_symmetric, get_engine
+from .engine import _point_json, get_engine
 from .errors import ParseError
 from .oracle import connected, full_space_region
 from .problemfile import build_config, parse_problem
@@ -28,17 +28,7 @@ def _sort_and_conjugate(x, y):
     return xs, apply_transpositions(y, word)
 
 
-def _point_out(v):
-    return [str(c) for c in v]
-
-
-def run_verify(
-    corpus_dir,
-    h=None,
-    eq_delta=None,
-    max_depth=None,
-    pattern: str = "definition",
-) -> dict:
+def run_verify(corpus_dir, h=None, eq_delta=None, max_depth=None) -> dict:
     """Run every fixture query through both backends and compare."""
     root = Path(corpus_dir)
     if not root.is_dir():
@@ -54,7 +44,7 @@ def run_verify(
         except ParseError as e:
             raise ParseError(str(e), f"{path.name}") from None
         cfg = build_config(pf.config, h=h, eq_delta=eq_delta, max_depth=max_depth)
-        engine = get_engine(pf.system, cfg, pattern)
+        engine = get_engine(pf.system, cfg)
         rows = []
         fixture_agree = 0
         region = None  # built inside the first query's brute-force timing
@@ -69,8 +59,8 @@ def run_verify(
             t2 = time.perf_counter()
             agree = ev.connected == bv
             row = {
-                "x": q.x_name or _point_out(q.x),
-                "y": q.y_name or _point_out(q.y),
+                "x": q.x_name or _point_json(q.x),
+                "y": q.y_name or _point_json(q.y),
                 "engine": ev.connected,
                 "brute_force": bv,
                 "agree": agree,

@@ -189,11 +189,20 @@ def test_eq_delta_flag_overrides_file(capsys):
     assert json.loads(out)["certificate"]["config"]["eq_delta"] == "1/4"
 
 
-def test_mirrored_pattern_flag(capsys):
-    code, out, _ = run(capsys, "check", fx("ball3.json"), "o", "a",
-                       "--pattern", "mirrored")
-    assert code == 0
-    assert json.loads(out)["certificate"]["pattern"] == "mirrored"
+def test_pattern_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", fx("ball3.json"), "o", "a", "--pattern", "mirrored"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --pattern" in capsys.readouterr().err
+
+
+def test_box_clamp_locate_failure_exit_two(capsys):
+    y = '["-2", "-3/2", "2"]'
+    code, out, err = run(capsys, "check", fx("split3.json"), y, y)
+    assert code == 2
+    assert out == ""
+    assert "x1 ~ -3.01661, beyond the box bound -2" in err
+    assert "widen the system box" in err
 
 
 def test_output_is_deterministic(capsys):

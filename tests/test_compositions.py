@@ -101,11 +101,8 @@ def test_extremal_compositions_6_4():
 
 
 def test_extremal_compositions_patterns():
-    # left-anchored by default, mirrored reverses each tuple
+    # the 1s sit at the odd positions, anchored on the left
     assert [c.parts for c in extremal_compositions(5, 2)] == [(1, 4)]
-    assert [c.parts for c in extremal_compositions(5, 2, pattern="mirrored")] == [(4, 1)]
-    # odd d: both patterns agree
-    assert extremal_compositions(7, 3) == extremal_compositions(7, 3, pattern="mirrored")
     assert [c.parts for c in extremal_compositions(7, 3)] == [(1, 5, 1)]
 
 

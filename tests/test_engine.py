@@ -29,7 +29,7 @@ from symconn.polynomials import (
     vandermonde_map,
 )
 from symconn.problemfile import build_config, parse_problem
-from symconn.uniongraph import locate_vertex
+from symconn.uniongraph import intersection_region, locate_vertex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -274,18 +274,35 @@ def test_orbit_certificate_structure():
         assert entry["stabilized"] is True
 
 
-def test_mirrored_pattern_same_verdicts():
-    assert connectivity_symmetric_canonical(
-        ball3(), (0, 0, 0), (F(-1, 2), 0, F(1, 2)), pattern="mirrored"
-    ).connected
-    assert not connectivity_symmetric_canonical(
-        split3(), (1, 1, 1), (-1, -1, -1), pattern="mirrored"
-    ).connected
-
-
 def test_engine_instances_cached():
     assert get_engine(ball3()) is get_engine(ball3())
     assert get_engine(ball3()) is not get_engine(split3())
+
+
+def split3_fixture_engine():
+    pf = parse_problem((FIXTURES / "split3.json").read_bytes())
+    return Engine(pf.system, build_config(pf.config))
+
+
+def test_locate_failure_from_box_clamp_names_the_box():
+    # y lies inside the box, but its canonical point on face (1, 2) has
+    # x1 ~ -3.017; clamped to x1 = -2 it fails p1^2 >= 1
+    y = (-2, F(-3, 2), 2)
+    eng = split3_fixture_engine()
+    with pytest.raises(LocateFailure) as err:
+        eng.symmetric(y, y)
+    assert "x1 ~ -3.01661" in str(err.value)
+    assert "box bound -2" in str(err.value)
+    assert "refine the oracle grid" not in str(err.value)
+
+
+def test_box_clamp_alone_is_not_an_error():
+    # this canonical point leaves the box too (x1 ~ -2.167), but its
+    # clamped stand-in still locates, so the query is answered
+    y = (-2, -2, F(-3, 2))
+    eng = split3_fixture_engine()
+    assert eng._canonical(y)["clamped"]
+    assert eng.symmetric(y, y).connected
 
 
 def d4_system(n, *polys):
@@ -298,12 +315,26 @@ BALL4 = {(0, 0, 0, 0): F(1), (0, 1, 0, 0): F(-1)}
 D4CFG = OracleConfig(h=F(1, 4), max_depth=1)
 
 
-@pytest.mark.parametrize("n,shape", [(5, (2, 2, 1, 1)), (6, (3, 3, 3, 1))])
+@pytest.mark.parametrize(
+    "n,shape", [(5, (2, 2, 1, 1)), (6, (3, 3, 3, 1)), (7, (4, 4, 6, 1))]
+)
 def test_ball_d4_union_graph_glues_faces(n, shape):
     # 1 - p2 >= 0 with d = 4 has several extremal faces; the ball is
     # convex, so the glued union graph has a single component
     g = Engine(d4_system(n, BALL4), D4CFG).graph()
     assert (len(g.faces), len(g.vertices), len(g.edges), g.component_count) == shape
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_ball_d4_intersection_is_the_join_face_region(n):
+    # two faces of one system restrict the same constraint, so their
+    # intersection region is the join face's own region, each atom once
+    sys = d4_system(n, BALL4)
+    faces = Engine(sys, D4CFG).faces()
+    for k, fi in enumerate(faces):
+        for fj in faces[k + 1 :]:
+            region, mu = intersection_region(fi, fj)
+            assert region == face_region(restrict(sys, mu))
 
 
 def test_ball_d4_union_graph_at_default_depth():

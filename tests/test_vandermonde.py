@@ -181,14 +181,6 @@ def test_min_canonical_worked_example():
     assert abs(float((lo + hi) / 2) + 2 / math.sqrt(3)) < 1e-9
 
 
-def test_min_canonical_mirrored_pattern():
-    # the mirrored face family picks up the maximizer on this fiber
-    res = min_canonical(3, 2, (0, 2), pattern="mirrored")
-    assert res.lam == composition((2, 1))
-    lo, hi = res.value.interval(F(1, 10**12))
-    assert abs(float((lo + hi) / 2) - 2 / math.sqrt(3)) < 1e-9
-
-
 def test_min_canonical_empty():
     assert min_canonical(3, 2, (0, -1)) is None
 

@@ -92,14 +92,11 @@ def test_full_corpus_agreement():
 
 # SHA-256 over the sorted-key JSON of every certificate below, one per line.
 # Performance work must leave it alone: a changed digest means a changed
-# certificate, not a faster one.  It last moved when wall trials came to be
-# located directly on the graph instead of through a fiber solve: a trial
-# now records its vertex index and component, its witness quotes that
-# vertex instead of nesting an orbit certificate, and the wall certificate
-# carries x's canonical record once.  Every orbit certificate, and every
-# wall's verdict, trials (face, representative, connected) and witness
-# (face, representative) of the top-level fixtures stayed the same.
-GOLDEN_DIGEST = "308ec85aaa28f57e76cd036b9414d1bfe29306c67ea741f29ced0e54c73d4b5f"
+# certificate, not a faster one.  It last moved when the extremal face
+# family became fixed and the "pattern" key left the orbit, wall and
+# symmetric certificates; deleting that key from the previous certificates
+# gives exactly this digest, so nothing else in them changed.
+GOLDEN_DIGEST = "6c3386704e3c861410f578662ec9e12a969a4f712853baee6dd99252c3243ec9"
 
 
 def test_golden_certificate_digest():
@@ -152,11 +149,10 @@ WIDE_QUERIES = {
 
 # SHA-256 over the sorted-key JSON of the WIDE_QUERIES certificates, one per
 # line, in the order above; like GOLDEN_DIGEST it guards certificates, not
-# speed.  It last moved with GOLDEN_DIGEST, when wall trials came to be
-# located directly on the graph, and for the same reason: the trials and
-# witnesses changed shape, while every orbit certificate and every wall's
-# verdict, trials and witness point stayed the same.
-WIDE_DIGEST = "a2f327a61db3fdd36a5c311d66c32f4e4e45f299cd38135cc8b3d4e1b48aebfe"
+# speed.  It last moved with GOLDEN_DIGEST and only by the same deleted
+# "pattern" key: the previous certificates with that key removed give
+# exactly this digest.
+WIDE_DIGEST = "d4bb1548fbe86ecc2fb2e5c00fff6a36374a716f678be357f2e3322349a2d48c"
 
 
 def test_wide_certificate_digest():
