@@ -69,7 +69,6 @@ from .problemfile import (
 )
 from .realroots import (
     AlgebraicPoint,
-    AlgebraicValue,
     RealRoot,
     UniPoly,
     count_real_roots,
@@ -95,7 +94,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicPoint",
-    "AlgebraicValue",
     "CanonicalPoint",
     "Composition",
     "Constraint",

@@ -2,9 +2,10 @@
 
 Subcommands: check (connectivity in the set itself), check-orbit
 (connectivity of orbits, both points sorted first), wall (can the
-component of x reach the wall x_i = x_{i+1}), min-canonical (the
-distinguished fiber point of x), graph (dump the face graph), verify
-(engine vs brute force over a fixture directory).
+component of x reach the wall x_i = x_{i+1}), min-canonical (the point
+where the fiber of x meets the extremal faces, with its p_{d+1}), graph
+(dump the face graph), verify (engine vs brute force over a fixture
+directory).
 
 Exit codes follow the verdict: 0 connected / all agree, 1 not
 connected / disagreement, 2 on any error.  Output is a single JSON
@@ -135,7 +136,7 @@ def _cmd_min_canonical(args) -> int:
         raise SolverError("no extremal face meets this fiber")
     eps = Fraction(1, 10**12)
     emb = cp.embedded_point()
-    vlo, vhi = cp.value.interval(eps)
+    point = emb.approx(eps)
     _emit(
         {
             "command": "min-canonical",
@@ -143,10 +144,10 @@ def _cmd_min_canonical(args) -> int:
             "face": list(cp.lam.parts),
             "type": list(emb.multiplicity_runs()),
             "block_point_decimal": _decimal_json(cp.point.approx(eps)),
-            "point_decimal": _decimal_json(emb.approx(eps)),
+            "point_decimal": _decimal_json(point),
             "point_exact": emb.payload(),
             "minimized_power_sum": sys_.d + 1,
-            "value_decimal": round(float((vlo + vhi) / 2), 9),
+            "value_decimal": round(float(sum(v ** (sys_.d + 1) for v in point)), 9),
         }
     )
     return 0
@@ -215,10 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_wall)
 
-    p = sub.add_parser("min-canonical", help="distinguished fiber point of x")
+    p = sub.add_parser(
+        "min-canonical",
+        help="where the fiber of x meets the extremal faces, and its p_{d+1}",
+    )
     p.add_argument("system")
     p.add_argument("x")
-    _add_common(p)
     p.set_defaults(func=_cmd_min_canonical)
 
     p = sub.add_parser("graph", help="dump the face graph for a system")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Callable, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 from .errors import DomainError, InvalidCodeError, SolverError
 
@@ -660,65 +660,3 @@ class AlgebraicPoint:
             code=tuple(data["code"]),
         )
 
-
-class AlgebraicValue:
-    """A real algebraic number: a vanishing polynomial plus a refiner.
-
-    `refiner(width)` must return a certified enclosure at most `width` wide.
-    Comparison separates enclosures, falling back to a root-separation bound
-    of the combined vanishing polynomial when enclosures still overlap at
-    width 1e-30 (then overlap proves equality).
-    """
-
-    def __init__(self, vanishing: UniPoly, refiner: Callable):
-        if vanishing.is_zero():
-            raise DomainError("need a nonzero vanishing polynomial")
-        self.vanishing = vanishing
-        self.refiner = refiner
-
-    @staticmethod
-    def of_rational(c) -> "AlgebraicValue":
-        c = Fraction(c)
-        return AlgebraicValue(
-            UniPoly([-c, 1]), lambda width, c=c: (c, c)
-        )
-
-    def interval(self, width) -> tuple[Fraction, Fraction]:
-        return self.refiner(Fraction(width))
-
-    def compare(self, other: "AlgebraicValue") -> Sign:
-        width = Fraction(1, 4)
-        floor = Fraction(1, 10**30)
-        while width >= floor:
-            s = _try_separate(self, other, width)
-            if s is not None:
-                return s
-            width /= 16
-        sep = _separation_bound(self.vanishing * other.vanishing)
-        s = _try_separate(self, other, sep / 8)
-        return 0 if s is None else s
-
-
-def _try_separate(a: AlgebraicValue, b: AlgebraicValue, width) -> Sign | None:
-    alo, ahi = a.interval(width)
-    blo, bhi = b.interval(width)
-    if ahi < blo:
-        return -1
-    if bhi < alo:
-        return 1
-    return None
-
-
-def _separation_bound(p: UniPoly) -> Fraction:
-    """Positive rational lower bound on the gap between distinct real roots."""
-    sf = squarefree_part(p)
-    m = sf.degree
-    if m <= 1:
-        return Fraction(1)
-    ints, _ = sf._integer_form()
-    g = gcd(*ints)
-    ints = tuple(c // g for c in ints)
-    norm_sq = sum(c * c for c in ints)
-    norm_up = isqrt(norm_sq) + 1
-    denom = m ** ((m + 3) // 2) * norm_up ** (m - 1)
-    return Fraction(1, denom)

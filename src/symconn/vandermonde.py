@@ -16,13 +16,8 @@ reduced by sympy.
 
 The matrices hold `Fraction`s, but the linear algebra on them clears
 denominators once and runs over Python ints: minimal polynomials come from
-fraction-free (Bareiss) elimination of the integer Krylov iterates, linear
-solves from Bareiss elimination, and the traces of the separating matrix's
-powers from integer matrix products.
-
-Values at a solution, such as the power sum p_{d+1} that `min_canonical`
-minimizes, live in Q[T]/(q): powers are reduced modulo q, and the polynomial
-that pins a value down is its minimal polynomial in that algebra.
+fraction-free (Bareiss) elimination of the integer Krylov iterates, and the
+traces of the separating matrix's powers from integer matrix products.
 """
 
 from __future__ import annotations
@@ -36,11 +31,8 @@ from .compositions import Composition, extremal_compositions
 from .errors import DomainError, SolverError
 from .realroots import (
     AlgebraicPoint,
-    AlgebraicValue,
     UniPoly,
-    divmod_poly,
     poly_gcd,
-    rational_function_interval,
     sign_at,
     squarefree_part,
     thom_rooted,
@@ -334,95 +326,6 @@ def fiber_points(weights: Sequence[int], a: Sequence) -> list[AlgebraicPoint]:
     return ordered_real_solutions(solve_weighted_system(weights, a))
 
 
-def power_sum_value(pt: AlgebraicPoint, weights: Sequence[int], j: int) -> AlgebraicValue:
-    """sum_k w_k z_k^j at the point, as a comparable algebraic number."""
-    if len(weights) != pt.dim:
-        raise DomainError("need one weight per coordinate")
-    if j < 1:
-        raise DomainError("power sum index must be >= 1")
-    exact = pt.exact_rational()
-    if exact is not None:
-        return AlgebraicValue.of_rational(
-            sum((Fraction(wk) * zk**j for wk, zk in zip(weights, exact)), Fraction(0))
-        )
-    # only values at roots of q matter, so every power is reduced mod q
-    q = pt.q
-
-    def power_mod(p: UniPoly) -> UniPoly:
-        out = UniPoly.constant(1)
-        for _ in range(j):
-            out = divmod_poly(out * p, q)[1]
-        return out
-
-    num = UniPoly([])
-    for wk, ck in zip(weights, pt.coords):
-        num = num + power_mod(ck).scale(Fraction(wk))
-    den = power_mod(pt.q0)
-    vanishing = _ratio_vanishing(q, num, den)
-    root = pt.root()
-    return AlgebraicValue(
-        vanishing,
-        lambda width, num=num, den=den, root=root: rational_function_interval(
-            num, den, root, width
-        ),
-    )
-
-
-def _ratio_vanishing(q: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
-    """Nonzero polynomial vanishing at num/den evaluated at any root of q.
-
-    The minimal polynomial of r = num / den in Q[T]/(q): evaluation at a
-    root of q is a ring map, so it vanishes at every value.  Requires
-    gcd(q, den) = 1, which makes multiplication by den invertible.
-    """
-    r = UniPoly(_solve_linear(_mult_matrix(den, q), _residue(num, q)))
-    return _krylov_min_poly(_mult_matrix(r, q))
-
-
-def _residue(p: UniPoly, q: UniPoly) -> list[Fraction]:
-    """Coefficients of p mod q, padded to length deg q."""
-    r = list(divmod_poly(p, q)[1].coeffs)
-    return r + [Fraction(0)] * (q.degree - len(r))
-
-
-def _mult_matrix(p: UniPoly, q: UniPoly) -> list[list[Fraction]]:
-    """Multiplication by p on Q[T]/(q) in the basis 1, T, ..., T^(D-1)."""
-    cols = []
-    col = p
-    for _ in range(q.degree):
-        cols.append(_residue(col, q))
-        col = UniPoly([0, *cols[-1]])  # T times the previous column
-    return [list(row) for row in zip(*cols)]
-
-
-def _solve_linear(M, b) -> list[Fraction]:
-    """x with M x = b for a nonsingular rational M.
-
-    Denominators are cleared once and the elimination is fraction-free
-    (Bareiss), so every division before back substitution is exact.  On the
-    d = 4 fibers this is far cheaper than inverting den by the extended
-    Euclidean algorithm over Q, whose remainders swell.
-    """
-    D = len(M)
-    A, _ = _integer_matrix([list(row) + [bi] for row, bi in zip(M, b)])
-    prev = 1
-    for c in range(D):
-        p = next((r for r in range(c, D) if A[r][c]), None)
-        if p is None:
-            raise SolverError("singular linear system")
-        A[c], A[p] = A[p], A[c]
-        pivot, prow = A[c][c], A[c]
-        for r in range(c + 1, D):
-            f = A[r][c]
-            A[r] = [(pivot * x - f * y) // prev for x, y in zip(A[r], prow)]
-        prev = pivot
-    x = [Fraction(0)] * D
-    for i in reversed(range(D)):
-        s = A[i][D] - sum(A[i][j] * x[j] for j in range(i + 1, D))
-        x[i] = Fraction(s) / A[i][i]
-    return x
-
-
 def verify_fiber_point(
     pt: AlgebraicPoint, weights: Sequence[int], a: Sequence
 ) -> bool:
@@ -438,16 +341,19 @@ def verify_fiber_point(
     return True
 
 
-# -- fiber minimizer ---------------------------------------------------------
+# -- canonical fiber point ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CanonicalPoint:
-    """Distinguished fiber point: p_{d+1}-argmin over the extremal faces."""
+    """Distinguished fiber point: where the fiber meets the extremal faces.
+
+    That is one point, the family's p_{d+1} extremum (see `min_canonical`);
+    `lam` is the first extremal face through it.
+    """
 
     lam: Composition
     point: AlgebraicPoint
-    value: AlgebraicValue
 
     def embedded_point(self) -> AlgebraicPoint:
         """The point in full coordinates, each numerator repeated per block."""
@@ -466,23 +372,22 @@ class CanonicalPoint:
 def min_canonical(n: int, d: int, a: Sequence) -> CanonicalPoint | None:
     """Canonical representative of the fiber over a in the sorted chamber.
 
-    Candidates are the ordered real solutions on every extremal face; the
-    exact argmin of p_{d+1} among them is returned, None when no face meets
-    the fiber (equivalently, the fiber is empty).  Ties keep the first face
-    in enumeration order, so the result is deterministic.
+    Walks `extremal_compositions(n, d)` in order and returns the first
+    ordered real solution on the first face that meets the fiber; None when
+    no face does (equivalently, the fiber is empty).
 
-    The fiber is connected, so any candidate is a valid representative.  For
-    even d the result is the global fiber minimizer of p_{d+1} away from
-    degenerate fibers; for odd d the extremal faces carry the other end of
-    the p_{d+1} range, and the value returned is minimal among candidates
-    only.
+    The fiber is connected (Arnold 1986), so any of its points is a valid
+    representative.  By the degree principle (Riener 2012) the extremal
+    faces carry an end of the p_{d+1} range on the fiber, and every fiber
+    measured meets the family in one point (the tests pin this), so the
+    result is that extremum: the minimum for even d away from degenerate
+    fibers, the other end for odd d.  A fiber that meets several faces
+    meets them at that one point.
     """
     if len(a) != d:
         raise DomainError(f"need {d} power-sum values, got {len(a)}")
-    best = None
     for lam in extremal_compositions(n, d):
-        for pt in fiber_points(lam.parts, a):
-            val = power_sum_value(pt, lam.parts, d + 1)
-            if best is None or val.compare(best.value) < 0:
-                best = CanonicalPoint(lam=lam, point=pt, value=val)
-    return best
+        pts = fiber_points(lam.parts, a)
+        if pts:
+            return CanonicalPoint(lam=lam, point=pts[0])
+    return None

@@ -139,6 +139,17 @@ def test_min_canonical_fields(capsys):
     assert doc["minimized_power_sum"] == 3
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--grid-h", "1/4"), ("--eq-delta", "1/4"), ("--max-depth", "2")]
+)
+def test_min_canonical_takes_no_grid_flags(capsys, flag, value):
+    # min-canonical solves the fiber only; it never builds a grid
+    with pytest.raises(SystemExit) as err:
+        main(["min-canonical", fx("ball3.json"), "b", flag, value])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_graph_dump(capsys):
     code, out, _ = run(capsys, "graph", fx("shell2.json"))
     assert code == 0

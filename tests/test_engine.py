@@ -128,28 +128,6 @@ def test_wall_wide_arcs_reachable():
     assert rep[0] == rep[1]
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """calls(owner, name) wraps owner.name and returns its calls' arguments.
-
-    The list grows by one positional-argument tuple per call, in call
-    order; for a method the tuple starts with the instance.
-    """
-
-    def count(owner, name):
-        seen = []
-        real = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            seen.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-        return seen
-
-    return count
-
-
 def test_wall_solves_only_the_fiber_of_x(calls):
     # trials are located where they lie on the graph, so a wall query on a
     # fresh engine solves one fiber, x's, however many trials it runs

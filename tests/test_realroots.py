@@ -8,12 +8,10 @@ from symconn import realroots
 from symconn.errors import DomainError, InvalidCodeError, SolverError
 from symconn.realroots import (
     AlgebraicPoint,
-    AlgebraicValue,
     RealRoot,
     UniPoly,
     count_real_roots,
     divmod_poly,
-    find_root,
     isolate_real_roots,
     poly_gcd,
     rational_function_interval,
@@ -371,35 +369,6 @@ def test_coordinate_signs_and_runs():
     assert pt.coordinate_sign(2, offset=2) == 0
     assert pt.coordinate_compare(0, 2) == -1
     assert pt.coordinate_sign(0, offset=Fraction(3, 2)) == -1
-
-
-def test_algebraic_value_compare():
-    t = UniPoly.variable()
-    q = t**2 - 2
-    root = find_root(q, (1, 1))
-
-    def make(num, den=UniPoly.constant(1), poly=q, rt=root):
-        return AlgebraicValue(poly, lambda w: rational_function_interval(num, den, rt, w))
-
-    sqrt2 = make(t)
-    assert sqrt2.compare(AlgebraicValue.of_rational(Fraction(141421, 100000))) == 1
-    assert sqrt2.compare(AlgebraicValue.of_rational(Fraction(141422, 100000))) == -1
-    # same number through a different vanishing polynomial
-    other_poly = (t**2 - 2) * (t - 1)
-    other_root = find_root(q, (1, 1))
-    sqrt2_again = AlgebraicValue(
-        other_poly, lambda w: rational_function_interval(t, UniPoly.constant(1), other_root, w)
-    )
-    assert sqrt2.compare(sqrt2_again) == 0
-    assert sqrt2_again.compare(sqrt2) == 0
-
-
-def test_algebraic_value_compare_tiny_gap():
-    a = AlgebraicValue.of_rational(Fraction(1))
-    b = AlgebraicValue.of_rational(Fraction(1) + Fraction(1, 10**45))
-    assert a.compare(b) == -1
-    assert b.compare(a) == 1
-    assert a.compare(AlgebraicValue.of_rational(Fraction(1))) == 0
 
 
 def test_rational_function_interval_tightens():

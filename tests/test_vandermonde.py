@@ -9,12 +9,12 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grevlex
 from sympy.polys.rings import ring
 
-from symconn.compositions import composition
+import symconn.vandermonde as vandermonde_module
+from symconn.compositions import composition, extremal_compositions
 from symconn.errors import DomainError, SolverError
 from symconn.polynomials import power_sums, vandermonde_map
 from symconn.realroots import (
     AlgebraicPoint,
-    AlgebraicValue,
     UniPoly,
     divmod_poly,
     find_root,
@@ -25,12 +25,9 @@ from symconn.vandermonde import (
     Parametrization,
     _krylov_min_poly,
     _quotient_data,
-    _ratio_vanishing,
-    _solve_linear,
     fiber_points,
     min_canonical,
     ordered_real_solutions,
-    power_sum_value,
     solve_weighted_system,
     verify_fiber_point,
 )
@@ -59,7 +56,7 @@ def test_degree_one_exact():
     assert pts[0].exact_rational() == (F(2, 3),)
 
 
-def test_pair_worked_example():
+def test_pair_worked_example(power_sum_within):
     # weights (1,2), a=(0,2): the ordered solution is (-2/sqrt3, 1/sqrt3)
     par = solve_weighted_system((1, 2), (0, 2))
     assert len(thom_rooted(par.q)) == 2  # both roots real
@@ -69,9 +66,8 @@ def test_pair_worked_example():
     assert abs(x[0] + 2 / math.sqrt(3)) < 1e-9
     assert abs(x[1] - 1 / math.sqrt(3)) < 1e-9
     assert verify_fiber_point(pts[0], (1, 2), (0, 2))
-    v = power_sum_value(pts[0], (1, 2), 3)
-    lo, hi = v.interval(F(1, 10**15))
-    assert abs(float((lo + hi) / 2) + 2 / math.sqrt(3)) < 1e-12
+    # p_3 = -8/(3 sqrt3) + 2/(3 sqrt3) = -2/sqrt3
+    assert power_sum_within(pts[0], (1, 2), 3, -2 / math.sqrt(3), F(1, 10**12))
 
 
 def test_pair_empty_fiber():
@@ -83,23 +79,6 @@ def test_pair_tangent_double_root():
     pts = fiber_points((1, 1), (2, 2))
     assert len(pts) == 1
     assert pts[0].exact_rational() == (F(1), F(1))
-
-
-def test_power_sum_value_rational_path():
-    pts = fiber_points((2, 2), (4, 4))
-    assert len(pts) == 1
-    v = power_sum_value(pts[0], (2, 2), 3)
-    assert v.compare(AlgebraicValue.of_rational(4)) == 0
-
-
-def test_vanishing_polynomial_vanishes():
-    # the defining polynomial of the power-sum value must enclose zero on a
-    # tight interval around the value
-    pts = fiber_points((1, 2), (0, 2))
-    v = power_sum_value(pts[0], (1, 2), 3)
-    lo, hi = v.interval(F(1, 10**20))
-    rlo, rhi = v.vanishing.eval_interval(lo, hi)
-    assert rlo <= 0 <= rhi
 
 
 def test_generic_roundtrip_fixed():
@@ -170,22 +149,21 @@ def test_roundtrip_random_small_degrees():
             assert verify_fiber_point(p, w, a)
 
 
-def test_min_canonical_worked_example():
+def test_min_canonical_worked_example(power_sum_within):
     res = min_canonical(3, 2, (0, 2))
     assert res is not None
     assert res.lam == composition((1, 2))
     x = approx(res.point)
     assert abs(x[0] + 2 / math.sqrt(3)) < 1e-9
     assert abs(x[1] - 1 / math.sqrt(3)) < 1e-9
-    lo, hi = res.value.interval(F(1, 10**12))
-    assert abs(float((lo + hi) / 2) + 2 / math.sqrt(3)) < 1e-9
+    assert power_sum_within(res.point, res.lam.parts, 3, -2 / math.sqrt(3), F(1, 10**9))
 
 
 def test_min_canonical_empty():
     assert min_canonical(3, 2, (0, -1)) is None
 
 
-def test_min_canonical_dominates_fiber_members():
+def test_min_canonical_dominates_fiber_members(power_sum_sign):
     # for d <= 2 the extremal faces carry the true fiber minimizers, so the
     # result dominates every fiber member
     rng = random.Random(59)
@@ -198,10 +176,10 @@ def test_min_canonical_dominates_fiber_members():
         assert res is not None
         assert verify_fiber_point(res.point, res.lam.parts, a)
         higher = power_sums(x, d + 1)[d]
-        assert res.value.compare(AlgebraicValue.of_rational(higher)) <= 0
+        assert power_sum_sign(res.point, res.lam.parts, d + 1, higher) <= 0
 
 
-def test_min_canonical_dominates_points_on_pattern_faces():
+def test_min_canonical_dominates_points_on_pattern_faces(power_sum_sign):
     # a query point lying on an extremal face is itself a candidate, so the
     # returned value can never exceed its p_{d+1}
     rng = random.Random(61)
@@ -213,10 +191,10 @@ def test_min_canonical_dominates_points_on_pattern_faces():
         assert res is not None
         assert verify_fiber_point(res.point, res.lam.parts, a)
         higher = power_sums(x, 4)[3]
-        assert res.value.compare(AlgebraicValue.of_rational(higher)) <= 0
+        assert power_sum_sign(res.point, res.lam.parts, 4, higher) <= 0
 
 
-def test_min_canonical_degenerate_fiber_stays_on_pattern_faces():
+def test_min_canonical_degenerate_fiber_stays_on_pattern_faces(power_sum_sign):
     # the fiber of (0,0,1,1) is an arc whose p_4-minimum sits at (0,0,1,1)
     # itself, off every extremal face; the canonical point is the arc's other
     # end ((1-s)/2, 1/2, 1/2, (1+s)/2) with s = sqrt(2), where p_4 = 9/4
@@ -226,12 +204,12 @@ def test_min_canonical_degenerate_fiber_stays_on_pattern_faces():
     assert res is not None
     assert res.lam == composition((1, 2, 1))
     assert verify_fiber_point(res.point, res.lam.parts, a)
-    assert res.value.compare(AlgebraicValue.of_rational(F(9, 4))) == 0
+    assert power_sum_sign(res.point, res.lam.parts, 4, F(9, 4)) == 0
     emb = res.point
     assert emb.coordinate_sign(1, offset=F(1, 2)) == 0
 
 
-def test_min_canonical_odd_degree_returns_family_extremum():
+def test_min_canonical_odd_degree_returns_family_extremum(power_sum_sign):
     # odd d: the extremal faces hold the far end of the p_{d+1} range, so a
     # fiber member off those faces may have a smaller value than the result
     x = [F(0), F(1, 2), F(1), F(2)]
@@ -241,7 +219,7 @@ def test_min_canonical_odd_degree_returns_family_extremum():
     assert res.lam == composition((1, 2, 1))
     assert verify_fiber_point(res.point, res.lam.parts, a)
     higher = power_sums(x, 4)[3]
-    assert res.value.compare(AlgebraicValue.of_rational(higher)) > 0
+    assert power_sum_sign(res.point, res.lam.parts, 4, higher) > 0
 
 
 def test_embedded_point_duplicates_blocks():
@@ -255,11 +233,83 @@ def test_embedded_point_duplicates_blocks():
     assert emb.multiplicity_runs() == (1, 2)
 
 
-# -- reference: the interpolated resultant ------------------------------------
+# -- the fiber meets the extremal family once ----------------------------------
+
+
+def face_hits(n, d, a):
+    """(face, ordered real solutions) for each extremal face the fiber meets."""
+    out = []
+    for lam in extremal_compositions(n, d):
+        pts = fiber_points(lam.parts, a)
+        if pts:
+            out.append((lam, pts))
+    return out
+
+
+def constant_on_blocks(pt, lam):
+    """Exactly: the point's coordinates agree within each block of lam."""
+    start = 0
+    for part in lam.parts:
+        if any(pt.coordinate_compare(k, k + 1) for k in range(start, start + part - 1)):
+            return False
+        start += part
+    return True
+
+
+# n = 5, d = 4 fibers that meet both (1, 1, 1, 2) and (1, 2, 1, 1)
+TWO_FACE_D4 = [
+    (F(-1, 4), F(-1, 4), F(-1, 4), F(1), F(1)),
+    (F(-3, 4), F(3, 4), F(3, 4), F(3, 4), F(3, 4)),
+    (F(-2), F(-5, 4), F(-5, 4), F(1, 2), F(1, 2)),
+]
+
+
+def test_fiber_meets_the_extremal_family_at_one_point():
+    # each face the fiber meets holds one ordered solution, and every hit
+    # lies on every other hit face.  A point on face lam solves lam's
+    # system, so with one solution per face all hits are one ambient point
+    rng = random.Random(101)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        d = rng.randint(1, min(3, n))
+        x = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        if rng.random() < 0.4:
+            x[rng.randrange(n)] = x[rng.randrange(n)]
+        cases.append((n, d, x))
+    cases += [(5, 4, x) for x in TWO_FACE_D4]
+    two_faces = 0
+    for n, d, x in cases:
+        a = power_sums(x, d)
+        hits = face_hits(n, d, a)
+        assert hits and all(len(pts) == 1 for _, pts in hits)
+        embedded = [CanonicalPoint(lam, pts[0]).embedded_point() for lam, pts in hits]
+        assert all(constant_on_blocks(e, lam) for e in embedded for lam, _ in hits)
+        res = min_canonical(n, d, a)
+        assert (res.lam, res.point) == (hits[0][0], hits[0][1][0])
+        two_faces += len(hits) == 2
+    assert two_faces == len(TWO_FACE_D4)
+    assert [lam.parts for lam, _ in face_hits(5, 4, power_sums(TWO_FACE_D4[0], 4))] == [
+        (1, 1, 1, 2),
+        (1, 2, 1, 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "x,solved",
+    [(TWO_FACE_D4[0], 1), ((-1, F(-1, 2), 0, F(1, 2), 1), 2)],
+    ids=["first-face", "second-face"],
+)
+def test_min_canonical_stops_at_the_first_face_met(calls, x, solved):
+    solves = calls(vandermonde_module, "fiber_points")
+    assert min_canonical(5, 4, power_sums(x, 4)) is not None
+    assert len(solves) == solved
+
+
+# -- reference: resultants by remainder sequences ------------------------------
 #
-# The solver used to pin p_{d+1} down by the resultant in T of q and
-# Y*den - num, interpolated through deg q + 1 values of Y.  It is kept here
-# as the reference the minimal polynomial must divide.
+# Exact resultants over Q through `divmod_poly`, checked against sympy's
+# Sylvester determinant, and Lagrange interpolation.
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Fraction:
@@ -299,26 +349,6 @@ def interpolate(points) -> UniPoly:
             term = term * UniPoly([-xj, 1]).scale(Fraction(1, 1) / (xi - xj))
         result = result + term
     return result
-
-
-def interpolated_resultant(q: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
-    """Res_T(q, Y*den - num) as a polynomial in Y, by interpolation.
-
-    Nodes where the T-leading coefficient would drop are skipped, so every
-    sample is the resultant of same-degree pairs.
-    """
-    m = max(den.degree, num.degree)
-    top_den = den.coeffs[m] if m < len(den.coeffs) else Fraction(0)
-    top_num = num.coeffs[m] if m < len(num.coeffs) else Fraction(0)
-    points = []
-    step = 0
-    while len(points) < q.degree + 1:
-        y = Fraction(((step + 1) // 2) * (1 if step % 2 else -1))
-        step += 1
-        if top_den * y - top_num == 0:
-            continue
-        points.append((y, resultant(q, den.scale(y) - num)))
-    return interpolate(points)
 
 
 def random_poly(rng, max_deg=8) -> UniPoly:
@@ -456,20 +486,6 @@ def test_quotient_data_rejects_degenerate_systems():
         _quotient_data([z1 - z2, z3], R)
 
 
-def test_solve_linear_matches_sympy():
-    rng = random.Random(83)
-    for D in (2, 3, 5, 8):
-        M = [[F(0)]]
-        while sympy.Matrix(M).det() == 0:
-            M = [[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(D)] for _ in range(D)]
-            M[0][0] = F(0)  # forces a row swap
-        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(D)]
-        want = sympy.Matrix(M).LUsolve(sympy.Matrix(b))
-        assert _solve_linear(M, b) == [Fraction(str(v)) for v in want]
-    with pytest.raises(SolverError):
-        _solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(0)])
-
-
 # -- reference: Krylov elimination over Fraction --------------------------------
 
 
@@ -526,50 +542,6 @@ def test_krylov_min_poly_matches_fraction_reference():
         _, mats = _quotient_data(eqs, R)
         for M in mats:
             assert _krylov_min_poly(M) == ref_krylov_min_poly(M)
-
-
-def unreduced_power_sum(pt, w, j):
-    num = UniPoly([])
-    for wk, ck in zip(w, pt.coords):
-        num = num + (ck**j).scale(F(wk))
-    return num, pt.q0**j
-
-
-def test_ratio_vanishing_divides_interpolated_resultant():
-    checked = 0
-    for w, a in random_weighted_systems(73):
-        for pt in fiber_points(w, a):
-            num, den = unreduced_power_sum(pt, w, 4)
-            f = _ratio_vanishing(pt.q, num, den)
-            assert not f.is_zero()
-            old = interpolated_resultant(pt.q, num, den)
-            assert divmod_poly(old, f)[1].is_zero()
-            assert f.degree <= old.degree
-            checked += 1
-    assert checked >= 6
-
-
-def test_ratio_vanishing_on_d4_ball_fiber():
-    # the interpolated resultant here has degree 18 and takes seconds to
-    # build, so the minimal polynomial is checked by evaluating it at
-    # r = num/den in Q[T]/(q) instead
-    w, a = BALL_D4
-    (pt,) = fiber_points(w, a)
-    assert pt.q.degree == 18
-    num, den = unreduced_power_sum(pt, w, 5)
-    f = _ratio_vanishing(pt.q, num, den)
-    assert f.degree == 3
-    # f(num/den) = 0 mod q  <=>  sum_k f_k num^k den^(3-k) = 0 mod q
-    num, den = divmod_poly(num, pt.q)[1], divmod_poly(den, pt.q)[1]
-    acc = UniPoly([])
-    for k, c in enumerate(f.coeffs):
-        acc = acc + (num**k * den ** (f.degree - k)).scale(c)
-    assert divmod_poly(acc, pt.q)[1].is_zero()
-    v = power_sum_value(pt, w, 5)
-    assert v.vanishing == f
-    lo, hi = v.interval(F(1, 10**20))
-    rlo, rhi = f.eval_interval(lo, hi)
-    assert rlo <= 0 <= rhi
 
 
 # -- roots are resolved once ---------------------------------------------------
