@@ -65,7 +65,6 @@ from .problemfile import (
     build_config,
     parse_point_text,
     parse_problem,
-    serialize_problem,
 )
 from .realroots import (
     AlgebraicPoint,
@@ -149,7 +148,6 @@ __all__ = [
     "restrict",
     "run_verify",
     "sample_components",
-    "serialize_problem",
     "sign_at_root",
     "sorting_transpositions",
     "thom_encoding",

@@ -7,6 +7,10 @@ where the fiber of x meets the extremal faces, with its p_{d+1}), graph
 (dump the face graph), verify (engine vs brute force over a fixture
 directory).
 
+The min-canonical point is the extremal family's p_{d+1} extremum on the
+fiber: the minimum for even d, the other end of the range for odd d.  Its
+"minimized_power_sum" field is the index d + 1 of that power sum.
+
 Exit codes follow the verdict: 0 connected / all agree, 1 not
 connected / disagreement, 2 on any error.  Output is a single JSON
 document on stdout so runs can be diffed.
@@ -218,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "min-canonical",
-        help="where the fiber of x meets the extremal faces, and its p_{d+1}",
+        help="where the fiber of x meets the extremal faces, and its p_{d+1} "
+        "(the minimum for even d, the other end of the range for odd d)",
     )
     p.add_argument("system")
     p.add_argument("x")

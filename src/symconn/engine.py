@@ -98,7 +98,6 @@ def _config_json(cfg: OracleConfig) -> dict:
     return {
         "h": str(Fraction(cfg.h)),
         "eq_delta": None if cfg.eq_delta is None else str(Fraction(cfg.eq_delta)),
-        "gt_gamma": str(Fraction(cfg.gt_gamma)),
         "max_depth": cfg.max_depth,
     }
 
@@ -209,17 +208,14 @@ class Engine:
             return xs
         if not self.sys.box_contains(xs):
             raise PreconditionError(f"{name} lies outside the system box")
-        ok, _ = self.sys.eval_membership(xs)
-        if not ok:
-            p = power_sums(xs, self.sys.d)
-            for k, c in enumerate(self.sys.constraints):
-                v = c.poly.eval(p)
-                if not c.rel.holds(v, Fraction(0)):
-                    raise PreconditionError(
-                        f"{name} is infeasible: constraint {k + 1} "
-                        f"({c.rel.name}) evaluates to {v}"
-                    )
-            raise PreconditionError(f"{name} is infeasible")
+        p = power_sums(xs, self.sys.d)
+        for k, c in enumerate(self.sys.constraints):
+            v = c.poly.eval(p)
+            if not c.rel.holds(v):
+                raise PreconditionError(
+                    f"{name} is infeasible: constraint {k + 1} "
+                    f"({c.rel.name}) evaluates to {v}"
+                )
         self._feasible.add(xs)
         return xs
 

@@ -17,8 +17,8 @@ constraint:
   * EQ constraints are thickened to |g| <= delta, so a codimension-one set
     shows up as a thin slab of feasible cells.  By default delta tracks
     the current pitch.
-  * GT constraints are shrunk to g >= gamma * pitch; open sets lose a
-    one-cell margin and cannot leak through a pinch point.
+  * GT constraints are shrunk to g >= pitch, a margin of one pitch, so
+    open sets lose a one-cell margin and cannot leak through a pinch point.
 
 A region that carries the chamber ordering z1 <= ... <= zl on a box with
 the same range on every axis walks only its sorted cells, the weakly
@@ -88,13 +88,11 @@ class OracleConfig:
 
     `h` is the starting pitch; refinement halves it up to `max_depth`
     times.  `eq_delta` of None means the EQ slab width follows the
-    current pitch.  `gt_gamma` scales the shrinking margin of GT
-    constraints, also in units of the current pitch.
+    current pitch.  GT constraints are shrunk by a margin of one pitch.
     """
 
     h: Fraction = Fraction(1, 2)
     eq_delta: Fraction | None = None
-    gt_gamma: Fraction = Fraction(1)
     max_depth: int = 5
 
     def __post_init__(self):
@@ -102,8 +100,6 @@ class OracleConfig:
             raise DomainError("grid pitch must be positive")
         if self.eq_delta is not None and self.eq_delta < 0:
             raise DomainError("eq_delta must be nonnegative")
-        if self.gt_gamma < 0:
-            raise DomainError("gt_gamma must be nonnegative")
         if self.max_depth < 0:
             raise DomainError("max_depth must be nonnegative")
 
@@ -233,7 +229,7 @@ class _Grid:
     for one common denominator D, and an atom g of total degree t is
     compiled to the integer polynomial L * D^t * g, where L clears its
     coefficient denominators; each cell test of the module docstring
-    (g >= 0, |g| <= delta, g >= gamma * pitch) then compares integers,
+    (g >= 0, |g| <= delta, g >= pitch) then compares integers,
     g * den >= thr or |g| * den <= thr with thr scaled by the same
     L * D^t.  As g is an integer, these are the integer intervals
     [ceil(thr / den), inf) and [-floor(thr / den), floor(thr / den)].
@@ -269,7 +265,6 @@ class _Grid:
         self.h = h
         self.dim = dim = region.dim
         delta = _effective_delta(cfg, h)
-        margin = h * cfg.gt_gamma
         lo, hi = region.box
         self.lo = lo
         m: list[int] = []
@@ -334,7 +329,7 @@ class _Grid:
                 else:
                     monos.append((coeff, factors))
             eq = rel is Relation.EQ
-            bound = delta if eq else margin if rel is Relation.GT else Fraction(0)
+            bound = delta if eq else h if rel is Relation.GT else Fraction(0)
             thr, den = bound.numerator * L * D**t, bound.denominator
             out.lo, out.hi = (-(thr // den), thr // den) if eq else (-(-thr // den), None)
             out.coeffs = tuple(c for c, _ in monos)

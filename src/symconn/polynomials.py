@@ -213,12 +213,6 @@ class PowerSumPoly:
             clean[exp] = clean.get(exp, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
-    def weighted_degree(self) -> int:
-        return max(
-            (sum((j + 1) * e for j, e in enumerate(exp)) for exp in self.terms),
-            default=0,
-        )
-
     def eval(self, z: Sequence) -> Fraction:
         """Value at a vector of the first d power sums."""
         if len(z) < self.d:
@@ -295,9 +289,7 @@ class SymmetricSystem:
         xs = [Fraction(v) for v in x]
         return all(a <= v <= b for a, v, b in zip(lo, xs, hi))
 
-    def eval_membership(
-        self, x: Sequence, eq_tol: Fraction = Fraction(0)
-    ) -> tuple[bool, tuple[int, ...]]:
+    def eval_membership(self, x: Sequence) -> tuple[bool, tuple[int, ...]]:
         """Constraint check at an exact point: (all hold, per-constraint signs)."""
         if len(x) != self.n:
             raise PreconditionError(f"point has {len(x)} coordinates, need {self.n}")
@@ -307,7 +299,7 @@ class SymmetricSystem:
         for c in self.constraints:
             v = c.poly.eval(p)
             signs.append((v > 0) - (v < 0))
-            if not c.rel.holds(v, eq_tol):
+            if not c.rel.holds(v):
                 ok = False
         return ok, tuple(signs)
 

@@ -39,13 +39,12 @@ __all__ = [
     "Query",
     "ProblemFile",
     "parse_problem",
-    "serialize_problem",
     "parse_point_text",
     "build_config",
 ]
 
 _REL_NAMES = {"GE": Relation.GE, "EQ": Relation.EQ, "GT": Relation.GT}
-_CONFIG_KEYS = ("h", "eq_delta", "gt_gamma", "max_depth")
+_CONFIG_KEYS = ("h", "eq_delta", "max_depth")
 
 
 def _rational(value: Any, loc: str) -> Fraction:
@@ -233,56 +232,6 @@ def parse_problem(data: bytes | str) -> ProblemFile:
     )
 
 
-def _rat_out(f: Fraction):
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def serialize_problem(pf: ProblemFile) -> bytes:
-    """Canonical JSON for a problem file; parses back to an equal value."""
-    sys = pf.system
-    constraints = []
-    for c in sys.constraints:
-        entries = []
-        for exps in sorted(c.poly.terms):
-            coeff = c.poly.terms[exps]
-            entries.append(
-                list(exps) + [coeff.numerator, coeff.denominator]
-            )
-        constraints.append({"coeffs": entries, "rel": c.rel.name})
-    obj: dict = {
-        "n": sys.n,
-        "d": sys.d,
-        "constraints": constraints,
-        "box": [
-            [_rat_out(v) for v in sys.box[0]],
-            [_rat_out(v) for v in sys.box[1]],
-        ],
-    }
-    if pf.points:
-        obj["points"] = {
-            name: [_rat_out(v) for v in vec] for name, vec in pf.points.items()
-        }
-    if pf.queries:
-        out = []
-        for q in pf.queries:
-            entry: dict = {
-                "x": q.x_name if q.x_name else [_rat_out(v) for v in q.x],
-                "y": q.y_name if q.y_name else [_rat_out(v) for v in q.y],
-            }
-            if q.expect is not None:
-                entry["expect"] = q.expect
-            out.append(entry)
-        obj["queries"] = out
-    if pf.config:
-        cfg = {}
-        for key in _CONFIG_KEYS:
-            if key in pf.config:
-                val = pf.config[key]
-                cfg[key] = val if key == "max_depth" else _rat_out(val)
-        obj["config"] = cfg
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
 def parse_point_text(data: bytes | str, n: int, loc: str = "point") -> tuple:
     """Point file: a bare JSON list, or an object with a "point" field."""
     if isinstance(data, bytes):
@@ -309,7 +258,6 @@ def build_config(
     merged = {
         "h": file_config.get("h", base.h),
         "eq_delta": file_config.get("eq_delta", base.eq_delta),
-        "gt_gamma": file_config.get("gt_gamma", base.gt_gamma),
         "max_depth": file_config.get("max_depth", base.max_depth),
     }
     if h is not None:

@@ -648,15 +648,3 @@ class AlgebraicPoint:
             "code": list(self.code),
         }
 
-    @staticmethod
-    def from_payload(data: dict) -> "AlgebraicPoint":
-        def de(cs):
-            return UniPoly([Fraction(c) for c in cs])
-
-        return AlgebraicPoint(
-            q=de(data["q"]),
-            q0=de(data["q0"]),
-            coords=tuple(de(c) for c in data["coords"]),
-            code=tuple(data["code"]),
-        )
-

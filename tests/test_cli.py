@@ -207,6 +207,17 @@ def test_pattern_flag_is_gone(capsys):
     assert "unrecognized arguments: --pattern" in capsys.readouterr().err
 
 
+def test_gt_gamma_config_key_exit_two(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "ball3.json").read_text())
+    doc["config"] = {"gt_gamma": "1/2"}
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path), "o", "a")
+    assert code == 2
+    assert out == ""
+    assert "unknown config key 'gt_gamma'" in err
+
+
 def test_box_clamp_locate_failure_exit_two(capsys):
     y = '["-2", "-3/2", "2"]'
     code, out, err = run(capsys, "check", fx("split3.json"), y, y)

@@ -250,8 +250,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         OracleConfig(h=F(0))
     with pytest.raises(DomainError):
-        OracleConfig(gt_gamma=F(-1))
-    with pytest.raises(DomainError):
         OracleConfig(max_depth=-1)
 
 
@@ -291,20 +289,19 @@ def reference_classes(region, cfg, h):
     """Per-cell classification with `ExpandedPoly.eval` on `Fraction`s.
 
     Follows the module's cell conventions (GE as written, EQ as
-    |g| <= delta, GT as g >= gamma * h) over the full product of cells.
+    |g| <= delta, GT as g >= h) over the full product of cells.
     Returns the class id of every cell (None when infeasible), numbered
     by first appearance in the lexicographic walk, and the center of the
     first cell of each class.
     """
     delta = h if cfg.eq_delta is None else cfg.eq_delta
-    margin = h * cfg.gt_gamma
 
     def atom_holds(poly, rel, c):
         v = poly.eval(c)
         if rel is Relation.EQ:
             return abs(v) <= delta
         if rel is Relation.GT:
-            return v >= margin
+            return v >= h
         return v >= 0
 
     centers = []
@@ -395,13 +392,10 @@ KERNEL_CASES = [
 def test_grid_kernel_matches_fraction_reference(chamber, uniform, zero_span):
     rng = random.Random(KERNEL_CASES.index((chamber, uniform, zero_span)))
     feasible_total = split = 0
-    for _ in range(20):
+    for _ in range(40):
         dim = rng.randint(2, 3) if chamber or uniform else rng.randint(1, 3)
         region = random_region(rng, dim, chamber, uniform, zero_span)
-        cfg = OracleConfig(
-            gt_gamma=rng.choice((F(0), F(1), F(2, 3))),
-            eq_delta=rng.choice((None, F(1, 5), F(1, 3), F(2, 5))),
-        )
+        cfg = OracleConfig(eq_delta=rng.choice((None, F(1, 5), F(1, 3), F(2, 5))))
         h = rng.choice((F(1, 2), F(1, 3), F(2, 7)))
         grid = _Grid(region, cfg, h)
         cells, reps = reference_classes(region, cfg, h)
@@ -421,17 +415,18 @@ def test_grid_kernel_matches_fraction_reference(chamber, uniform, zero_span):
 @pytest.mark.parametrize("chamber", [False, True])
 def test_grid_kernel_matches_reference_on_exact_ties(rel, from_config, chamber):
     # centers are k/3 - 1/6 on both axes, so z2 - z1 takes the values j/3.
-    # With the slab width taken from the config, 1/7 is both the EQ slab
-    # and the GT margin, and 3/7 * (z2 - z1) ties with it at j = 1; with
-    # the slab width following the pitch, both are 1/3 and z2 - z1 ties
-    scale, gamma = (F(3, 7), F(3, 7)) if from_config else (F(1), F(1))
+    # The GT margin is the pitch, 1/3.  With the slab width taken from the
+    # config, 1/6, (z2 - z1) / 2 ties with the EQ slab at j = 1 and with
+    # the GT margin at j = 2; with the slab width following the pitch, both
+    # are 1/3 and z2 - z1 ties with them at j = 1.
+    scale = F(1, 2) if from_config else F(1)
     tie = ((var(2, 2) - var(2, 1)).scale(scale), rel)
     ball = (ExpandedPoly.constant(2, F(9, 5)) - var(2, 1) ** 2 - var(2, 2) ** 2, Relation.GE)
     requires = (ball, tie)
     if chamber:
         requires += ((var(2, 2) - var(2, 1), Relation.GE),)
     region = Region(dim=2, requires=requires, box=((F(-1, 3),) * 2, (F(5, 3),) * 2))
-    cfg = OracleConfig(gt_gamma=gamma, eq_delta=F(1, 7) if from_config else None)
+    cfg = OracleConfig(eq_delta=F(1, 6) if from_config else None)
     grid = _Grid(region, cfg, F(1, 3))
     cells, reps = reference_classes(region, cfg, F(1, 3))
     assert {idx: grid.class_of_cell(idx) for idx in cells} == cells
@@ -452,7 +447,7 @@ def pruned_walk_cases(draw, sorted_walk):
     more atoms add up to three one-variable terms to a mixed monomial,
     mostly with an even power, on boxes whose centers straddle 0.  Their
     constant puts a cell center, the ball's or a drawn one, exactly on the
-    threshold: 0 for GE, the margin for GT, plus or minus the slab width
+    threshold: 0 for GE, the pitch for GT, plus or minus the slab width
     for EQ.
     """
     h = draw(st.sampled_from((F(1, 4), F(1, 3), F(2, 7))))
@@ -465,10 +460,7 @@ def pruned_walk_cases(draw, sorted_walk):
         counts = [draw(st.integers(12, 20 if dim == 2 else 14)) for _ in range(dim)]
         starts = [draw(st.sampled_from((F(-2), F(-3, 2), F(-4, 3), F(-1)))) for _ in range(dim)]
     box = (tuple(starts), tuple(a + c * h for a, c in zip(starts, counts)))
-    cfg = OracleConfig(
-        gt_gamma=draw(st.sampled_from((F(1), F(0), F(2, 3)))),
-        eq_delta=draw(st.sampled_from((None, F(1, 5), F(1, 3)))),
-    )
+    cfg = OracleConfig(eq_delta=draw(st.sampled_from((None, F(1, 5), F(1, 3)))))
     delta = h if cfg.eq_delta is None else cfg.eq_delta
 
     def center():
@@ -496,7 +488,7 @@ def pruned_walk_cases(draw, sorted_walk):
         rel = draw(st.sampled_from((Relation.EQ, Relation.GT, Relation.GE)))
         target = {
             Relation.GE: F(0),
-            Relation.GT: h * cfg.gt_gamma,
+            Relation.GT: h,
             Relation.EQ: draw(st.sampled_from((delta, -delta))),
         }[rel]
         tie = center() if draw(st.booleans()) else mid
@@ -533,7 +525,7 @@ def test_pruned_sorted_walk_matches_reference(case):
     "poly,rel,cfg",
     [
         (var(2, 2) - 1, Relation.GE, OracleConfig()),
-        (var(2, 2), Relation.GT, OracleConfig(gt_gamma=F(1))),
+        (var(2, 2), Relation.GT, OracleConfig()),
         (var(2, 2) - 1, Relation.EQ, OracleConfig(eq_delta=F(1, 3))),
         (var(2, 2), Relation.EQ, OracleConfig(eq_delta=F(1))),
     ],

@@ -116,7 +116,6 @@ def test_power_sum_poly_eval():
     # Z_1^2 - Z_2 at z = (3, 5) is 4
     q = PowerSumPoly(2, {(2, 0): 1, (0, 1): -1})
     assert q.eval([3, 5]) == 4
-    assert q.weighted_degree() == 2
 
 
 def test_power_sums_exact():

@@ -309,7 +309,7 @@ def test_min_canonical_stops_at_the_first_face_met(calls, x, solved):
 # -- reference: resultants by remainder sequences ------------------------------
 #
 # Exact resultants over Q through `divmod_poly`, checked against sympy's
-# Sylvester determinant, and Lagrange interpolation.
+# Sylvester determinant.
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Fraction:
@@ -334,21 +334,6 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
         if (a.degree * b.degree) % 2 == 1:
             sign_acc = -sign_acc
         a, b = b, r
-
-
-def interpolate(points) -> UniPoly:
-    """Lagrange interpolation through (x, y) pairs with distinct x."""
-    result = UniPoly([])
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = UniPoly.constant(yi)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * UniPoly([-xj, 1]).scale(Fraction(1, 1) / (xi - xj))
-        result = result + term
-    return result
 
 
 def random_poly(rng, max_deg=8) -> UniPoly:
@@ -383,14 +368,6 @@ def test_resultant_detects_common_factor():
     g = (t - 2) * (t**2 + 1)
     assert resultant(f, g) == 0
     assert resultant(t - 2, t - 3) != 0
-
-
-def test_interpolate():
-    pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(5))]
-    p = interpolate(pts)
-    for x, y in pts:
-        assert p.eval(x) == y
-    assert p.degree == 2
 
 
 # -- the generic solver's algebra ---------------------------------------------
@@ -588,8 +565,10 @@ def test_points_carry_the_solver_enclosure(solver_points):
 
 
 def test_payload_roundtrip_ignores_the_enclosure(solver_points):
+    # the public constructor takes no enclosure, so the point rebuilt from
+    # its payload fields isolates its root again on first use
     for pt in solver_points:
-        back = AlgebraicPoint.from_payload(pt.payload())
+        back = AlgebraicPoint(q=pt.q, q0=pt.q0, coords=pt.coords, code=pt.code)
         assert back.enclosure is None
         assert back == pt and hash(back) == hash(pt)
         assert back.payload() == pt.payload()

@@ -92,11 +92,11 @@ def test_full_corpus_agreement():
 
 # SHA-256 over the sorted-key JSON of every certificate below, one per line.
 # Performance work must leave it alone: a changed digest means a changed
-# certificate, not a faster one.  It last moved when the extremal face
-# family became fixed and the "pattern" key left the orbit, wall and
-# symmetric certificates; deleting that key from the previous certificates
-# gives exactly this digest, so nothing else in them changed.
-GOLDEN_DIGEST = "6c3386704e3c861410f578662ec9e12a969a4f712853baee6dd99252c3243ec9"
+# certificate, not a faster one.  It last moved when GT constraints got a
+# fixed one-pitch margin and the "gt_gamma" key left every certificate's
+# config record; deleting that key from the previous certificates gives
+# exactly this digest, so nothing else in them changed.
+GOLDEN_DIGEST = "79a159fa1e607a94e0c08837cc6e89110ca5d8a87b8d23d88c10945b2febd5f2"
 
 
 def test_golden_certificate_digest():
@@ -150,9 +150,9 @@ WIDE_QUERIES = {
 # SHA-256 over the sorted-key JSON of the WIDE_QUERIES certificates, one per
 # line, in the order above; like GOLDEN_DIGEST it guards certificates, not
 # speed.  It last moved with GOLDEN_DIGEST and only by the same deleted
-# "pattern" key: the previous certificates with that key removed give
+# "gt_gamma" key: the previous certificates with that key removed give
 # exactly this digest.
-WIDE_DIGEST = "d4bb1548fbe86ecc2fb2e5c00fff6a36374a716f678be357f2e3322349a2d48c"
+WIDE_DIGEST = "2002c14c7aff5a59c31bcb5d6e27352a772a27444b8fd0e458800520b62b61d0"
 
 
 def test_wide_certificate_digest():
