@@ -10,14 +10,14 @@ sqrt(3) contains it.
 
 import pathlib
 
-from symconn import build_config, get_engine, parse_problem
+from symconn import Engine, build_config, parse_problem
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def load(name):
     pf = parse_problem((ROOT / name).read_bytes())
-    return pf, get_engine(pf.system, build_config(pf.config))
+    return pf, Engine(pf.system, build_config(pf.config))
 
 
 narrow_pf, narrow = load("circle-arcs.json")

@@ -10,14 +10,11 @@ they meet, and walk wall crossings for queries that leave the chamber.
 
 from .compositions import (
     Composition,
-    all_compositions,
     apply_transpositions,
     composition,
-    count_extremal_compositions,
     embed,
     enumerate_compositions,
     extremal_compositions,
-    inversions,
     join,
     merge_at_wall,
     precedes,
@@ -26,9 +23,6 @@ from .compositions import (
 from .engine import (
     Engine,
     Verdict,
-    connected_wall,
-    connectivity_symmetric,
-    connectivity_symmetric_canonical,
     get_engine,
 )
 from .errors import (
@@ -55,7 +49,6 @@ from .polynomials import (
     Relation,
     SymmetricSystem,
     make_box,
-    power_sums,
     restrict,
     vandermonde_map,
 )
@@ -116,16 +109,11 @@ __all__ = [
     "UnionGraph",
     "UniPoly",
     "Verdict",
-    "all_compositions",
     "apply_transpositions",
     "brute_force_connected",
     "build_config",
     "build_union_graph",
     "composition",
-    "connected_wall",
-    "connectivity_symmetric",
-    "connectivity_symmetric_canonical",
-    "count_extremal_compositions",
     "count_real_roots",
     "embed",
     "enumerate_compositions",
@@ -133,7 +121,6 @@ __all__ = [
     "face_region",
     "fiber_points",
     "get_engine",
-    "inversions",
     "join",
     "locate_vertex",
     "make_box",
@@ -142,7 +129,6 @@ __all__ = [
     "parse_point_text",
     "parse_problem",
     "point_feasible",
-    "power_sums",
     "precedes",
     "real_roots",
     "restrict",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -101,14 +100,6 @@ def enumerate_compositions(n: int, length: int) -> list[Composition]:
     return out
 
 
-def all_compositions(n: int) -> list[Composition]:
-    """Compositions of n of every length, shortest first then lexicographic."""
-    out = []
-    for length in range(1, n + 1):
-        out.extend(enumerate_compositions(n, length))
-    return out
-
-
 def extremal_compositions(n: int, d: int) -> list[Composition]:
     """Length-d compositions of n whose faces can host fiber extrema.
 
@@ -133,13 +124,6 @@ def extremal_compositions(n: int, d: int) -> list[Composition]:
             parts[slot] = val
         out.append(Composition(tuple(parts)))
     return out
-
-
-def count_extremal_compositions(n: int, d: int) -> int:
-    """Closed form: C(n - ceil(d/2) - 1, floor(d/2) - 1), with d = 1 giving 1."""
-    if d == 1:
-        return 1
-    return comb(n - (d + 1) // 2 - 1, d // 2 - 1)
 
 
 def join(lam: Composition, mu: Composition) -> Composition:
@@ -210,13 +194,3 @@ def apply_transpositions(y: Sequence, word: Iterable[int]) -> tuple:
             raise DomainError(f"swap index {i} outside 1..{len(v) - 1}")
         v[i - 1], v[i] = v[i], v[i - 1]
     return tuple(v)
-
-
-def inversions(y: Sequence) -> int:
-    """Number of pairs i < j with y_i > y_j."""
-    return sum(
-        1
-        for i in range(len(y))
-        for j in range(i + 1, len(y))
-        if y[i] > y[j]
-    )

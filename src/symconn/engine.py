@@ -12,18 +12,16 @@ the query itself, each computed once.  An engine memoizes
 plus each (x, wall) verdict.  Certificates share the memoized records,
 the config, the face list and the graph summary as sub-dicts, so they
 must be treated as read-only.  A failure is never memoized: a query that
-raised raises again when asked again.  The module-level helpers keep one
-engine per (system, config) pair, so repeated queries against the same
-system reuse all of it.
+raised raises again when asked again.  The caller owns the engine: hold
+one per (system, config) to reuse all of it across queries.
 
-Three deciders are exposed.  `connectivity_symmetric_canonical` answers
-whether two weakly increasing feasible points lie in the same component
-of the sorted slice of S (the part with x1 <= ... <= xn), which is the
-same as asking whether their orbits are connected in S.
-`connected_wall` answers whether the component of x in the sorted slice
-touches the wall x_i = x_{i+1}.  `connectivity_symmetric` combines the
-two to decide connectivity in S itself for a possibly unsorted second
-point.
+The paper's two algorithms are `Engine.canonical`, which answers whether
+two weakly increasing feasible points lie in the same component of the
+sorted slice of S (the part with x1 <= ... <= xn), the same as asking
+whether their orbits are connected in S, and `Engine.symmetric`, which
+decides connectivity in S itself for a possibly unsorted second point.
+It combines the orbit test with `Engine.wall`, which answers whether the
+component of x in the sorted slice touches the wall x_i = x_{i+1}.
 
 Every verdict carries a JSON-ready certificate recording the reduction:
 fiber data, canonical points with their graph vertices, oracle
@@ -55,13 +53,7 @@ from .compositions import (
 )
 from .errors import LocateFailure, PreconditionError, SolverError
 from .oracle import OracleConfig, face_region, sample_components
-from .polynomials import (
-    FaceSystem,
-    SymmetricSystem,
-    power_sums,
-    restrict,
-    vandermonde_map,
-)
+from .polynomials import FaceSystem, SymmetricSystem, restrict, vandermonde_map
 from .uniongraph import UnionGraph, build_union_graph, locate_vertex
 from .vandermonde import min_canonical
 
@@ -69,9 +61,6 @@ __all__ = [
     "Verdict",
     "Engine",
     "get_engine",
-    "connectivity_symmetric_canonical",
-    "connected_wall",
-    "connectivity_symmetric",
 ]
 
 
@@ -96,15 +85,15 @@ def _decimal_json(x) -> list[float]:
 
 def _config_json(cfg: OracleConfig) -> dict:
     return {
-        "h": str(Fraction(cfg.h)),
-        "eq_delta": None if cfg.eq_delta is None else str(Fraction(cfg.eq_delta)),
+        "h": str(cfg.h),
+        "eq_delta": None if cfg.eq_delta is None else str(cfg.eq_delta),
         "max_depth": cfg.max_depth,
     }
 
 
 def _summary_json(s) -> dict:
     return {
-        "h_final": str(Fraction(s.h_final)),
+        "h_final": str(s.h_final),
         "cells": s.cells,
         "classes": s.classes,
         "levels": list(s.level_counts),
@@ -208,7 +197,7 @@ class Engine:
             return xs
         if not self.sys.box_contains(xs):
             raise PreconditionError(f"{name} lies outside the system box")
-        p = power_sums(xs, self.sys.d)
+        p = vandermonde_map(xs, self.sys.d)
         for k, c in enumerate(self.sys.constraints):
             v = c.poly.eval(p)
             if not c.rel.holds(v):
@@ -461,47 +450,10 @@ class Engine:
         return Verdict(connected, cert)
 
 
-_ENGINES: dict = {}
-
-
 def get_engine(sys: SymmetricSystem, cfg: OracleConfig | None = None) -> Engine:
-    """Engine for the pair (system, config), cached."""
-    cfg = cfg if cfg is not None else OracleConfig()
-    key = (sys, cfg)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = Engine(sys, cfg)
-        _ENGINES[key] = eng
-        while len(_ENGINES) > 16:
-            _ENGINES.pop(next(iter(_ENGINES)))
-    return eng
+    """A new `Engine(sys, cfg)`.
 
-
-def connectivity_symmetric_canonical(
-    sys: SymmetricSystem,
-    x: Sequence,
-    y: Sequence,
-    cfg: OracleConfig | None = None,
-) -> Verdict:
-    """Are the orbits of the sorted points x and y connected inside S?"""
-    return get_engine(sys, cfg).canonical(x, y)
-
-
-def connected_wall(
-    sys: SymmetricSystem,
-    x: Sequence,
-    i: int,
-    cfg: OracleConfig | None = None,
-) -> Verdict:
-    """Does the component of x in the sorted slice meet x_i = x_{i+1}?"""
-    return get_engine(sys, cfg).wall(x, i)
-
-
-def connectivity_symmetric(
-    sys: SymmetricSystem,
-    x: Sequence,
-    y: Sequence,
-    cfg: OracleConfig | None = None,
-) -> Verdict:
-    """Are x and y connected inside S?  x must be sorted, y may not be."""
-    return get_engine(sys, cfg).symmetric(x, y)
+    Kept as a named entry point because the benchmark's tracer wraps
+    `engine.get_engine` by name; callers own the engine it returns.
+    """
+    return Engine(sys, cfg)

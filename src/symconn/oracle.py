@@ -82,6 +82,17 @@ class Region:
                 raise DomainError("constraint arity differs from region dimension")
 
 
+def _exact(value, name: str) -> Fraction:
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(
+            f"{name} must be exact, got the float {value!r}; pass a Fraction"
+        )
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be exact, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Grid resolution policy.
@@ -89,6 +100,8 @@ class OracleConfig:
     `h` is the starting pitch; refinement halves it up to `max_depth`
     times.  `eq_delta` of None means the EQ slab width follows the
     current pitch.  GT constraints are shrunk by a margin of one pitch.
+    Both are stored as `Fraction`s; an int converts exactly, and a float
+    must be integral.
     """
 
     h: Fraction = Fraction(1, 2)
@@ -96,6 +109,9 @@ class OracleConfig:
     max_depth: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "h", _exact(self.h, "h"))
+        if self.eq_delta is not None:
+            object.__setattr__(self, "eq_delta", _exact(self.eq_delta, "eq_delta"))
         if self.h <= 0:
             raise DomainError("grid pitch must be positive")
         if self.eq_delta is not None and self.eq_delta < 0:

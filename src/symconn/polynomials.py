@@ -173,8 +173,8 @@ def weighted_power_sum(j: int, weights: Sequence[int]) -> ExpandedPoly:
     return ExpandedPoly(ell, terms)
 
 
-def power_sums(x: Sequence, d: int) -> tuple[Fraction, ...]:
-    """(p_1(x), ..., p_d(x)) exactly."""
+def vandermonde_map(x: Sequence, d: int) -> tuple[Fraction, ...]:
+    """(p_1(x), ..., p_d(x)) exactly: the first d power sums of x."""
     xs = [Fraction(v) for v in x]
     out = []
     powers = list(xs)
@@ -293,7 +293,7 @@ class SymmetricSystem:
         """Constraint check at an exact point: (all hold, per-constraint signs)."""
         if len(x) != self.n:
             raise PreconditionError(f"point has {len(x)} coordinates, need {self.n}")
-        p = power_sums(x, self.d)
+        p = vandermonde_map(x, self.d)
         ok = True
         signs = []
         for c in self.constraints:
@@ -359,20 +359,3 @@ def restrict(sys: SymmetricSystem, lam: Composition | Sequence[int]) -> FaceSyst
         constraints=constraints,
         box=(tuple(blo), tuple(bhi)),
     )
-
-
-def vandermonde_map(
-    x: Sequence, d: int, weights: Sequence[int] | None = None
-) -> tuple[Fraction, ...]:
-    """First d weighted power sums of x (unit weights by default)."""
-    xs = [Fraction(v) for v in x]
-    if weights is None:
-        weights = [1] * len(xs)
-    if len(weights) != len(xs):
-        raise DomainError("weights and point have different lengths")
-    out = []
-    powers = list(xs)
-    for _ in range(d):
-        out.append(sum((Fraction(m) * p for m, p in zip(weights, powers)), Fraction(0)))
-        powers = [p * v for p, v in zip(powers, xs)]
-    return tuple(out)

@@ -11,21 +11,14 @@ import numpy as np
 import sympy
 
 from symconn.compositions import (
-    all_compositions,
     composition,
     enumerate_compositions,
     extremal_compositions,
-    inversions,
     join,
     precedes,
     sorting_transpositions,
 )
-from symconn.engine import (
-    Engine,
-    connectivity_symmetric,
-    connectivity_symmetric_canonical,
-    get_engine,
-)
+from symconn.engine import Engine
 from symconn.polynomials import (
     Constraint,
     ExpandedPoly,
@@ -34,7 +27,6 @@ from symconn.polynomials import (
     Relation,
     SymmetricSystem,
     make_box,
-    power_sums,
     vandermonde_map,
 )
 from symconn.problemfile import build_config, parse_problem
@@ -70,7 +62,7 @@ def test_01_combinatorics_exact():
         for d in range(2, min(n, 5) + 1):
             expected = math.comb(n - (d + 1) // 2 - 1, d // 2 - 1)
             assert len(extremal_compositions(n, d)) == expected
-    assert {c.parts for c in all_compositions(4)} == {
+    assert {c.parts for k in range(1, 5) for c in enumerate_compositions(4, k)} == {
         (4,), (1, 3), (3, 1), (2, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2),
         (1, 1, 1, 1),
     }
@@ -95,7 +87,8 @@ def test_02_bubble_sort_words_minimal():
     for n in range(1, 7):
         for perm in itertools.permutations(range(n)):
             word, ordered = sorting_transpositions(perm)
-            assert len(word) == inversions(perm)
+            # a minimal word has one swap per inverted pair
+            assert len(word) == sum(a > b for a, b in itertools.combinations(perm, 2))
             assert ordered == tuple(sorted(perm))
             replay = list(perm)
             for i in word:
@@ -199,7 +192,7 @@ def test_04_vandermonde_solver_minimality(power_sum_within):
         n = rng.randint(2, 7)
         d = rng.randint(1, min(3, n))
         x = sorted(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
-        a = power_sums(x, d)
+        a = vandermonde_map(x, d)
         res = min_canonical(n, d, a)
         assert res is not None
         assert verify_fiber_point(res.point, res.lam.parts, a)
@@ -322,7 +315,7 @@ def test_06_end_to_end_ground_truth():
     # the central distinction: mirror arcs whose orbits meet while the set
     # keeps them apart
     pf = load_system("circle-arcs.json")
-    eng = get_engine(pf.system, build_config(pf.config))
+    eng = Engine(pf.system, build_config(pf.config))
     x, y = pf.points["x"], pf.points["y"]
     assert eng.canonical(x, tuple(sorted(y))).connected is True
     assert eng.symmetric(x, y).connected is False
@@ -345,17 +338,17 @@ def test_07_orbit_invariance_exhaustive():
     ]
     for name, x, y, want in cases:
         sysm = load_system(name).system
+        eng = Engine(sysm)
         xs = tuple(sorted(x))
-        base = connectivity_symmetric_canonical(sysm, xs, tuple(sorted(y)))
+        base = eng.canonical(xs, tuple(sorted(y)))
         for perm in itertools.permutations(y):
             # power sums, hence the canonical representative, ignore order
             assert vandermonde_map(perm, sysm.d) == vandermonde_map(y, sysm.d)
-            got = connectivity_symmetric(sysm, xs, perm)
+            got = eng.symmetric(xs, perm)
             assert got.connected is want
         for perm in itertools.permutations(x):
             assert vandermonde_map(perm, sysm.d) == vandermonde_map(x, sysm.d)
-            same = connectivity_symmetric_canonical(
-                sysm, tuple(sorted(perm)), tuple(sorted(y)))
+            same = eng.canonical(tuple(sorted(perm)), tuple(sorted(y)))
             assert same.connected == base.connected
     assert time.perf_counter() - t0 < 60.0
 

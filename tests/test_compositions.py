@@ -6,15 +6,12 @@ import pytest
 
 from symconn.compositions import (
     Composition,
-    all_compositions,
     apply_transpositions,
     composition,
-    count_extremal_compositions,
     embed,
     enumerate_compositions,
     extremal_compositions,
     from_breaks,
-    inversions,
     join,
     merge_at_wall,
     precedes,
@@ -40,6 +37,23 @@ def multiplicity_composition(x):
             run = 1
     parts.append(run)
     return Composition(tuple(parts))
+
+
+def all_compositions(n):
+    """Compositions of n of every length, shortest first then lexicographic."""
+    return [c for length in range(1, n + 1) for c in enumerate_compositions(n, length)]
+
+
+def count_extremal_compositions(n, d):
+    """Closed form: C(n - ceil(d/2) - 1, floor(d/2) - 1), with d = 1 giving 1."""
+    if d == 1:
+        return 1
+    return comb(n - (d + 1) // 2 - 1, d // 2 - 1)
+
+
+def inversions(y):
+    """Number of pairs i < j with y_i > y_j."""
+    return sum(1 for i in range(len(y)) for j in range(i + 1, len(y)) if y[i] > y[j])
 
 
 def test_composition_basics():

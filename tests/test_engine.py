@@ -1,4 +1,4 @@
-"""End-to-end checks for the three connectivity deciders."""
+"""End-to-end checks for the engine's connectivity deciders."""
 
 import json
 import pathlib
@@ -10,13 +10,7 @@ import pytest
 
 import symconn.engine as engine_module
 from symconn.compositions import composition, merge_at_wall
-from symconn.engine import (
-    Engine,
-    connected_wall,
-    connectivity_symmetric,
-    connectivity_symmetric_canonical,
-    get_engine,
-)
+from symconn.engine import Engine, get_engine
 from symconn.errors import LocateFailure, PreconditionError
 from symconn.oracle import OracleConfig, face_region, sample_components
 from symconn.polynomials import (
@@ -72,56 +66,56 @@ ARC_Y = (F(3, 5), F(-4, 5))
 
 
 def test_ball_orbit_connected():
-    v = connectivity_symmetric_canonical(ball3(), (0, 0, 0), (F(-1, 2), 0, F(1, 2)))
+    v = Engine(ball3()).canonical((0, 0, 0), (F(-1, 2), 0, F(1, 2)))
     assert v.connected
     assert bool(v)
 
 
 def test_split_opposite_signs_disconnected():
-    v = connectivity_symmetric_canonical(split3(), (1, 1, 1), (-1, -1, -1))
+    v = Engine(split3()).canonical((1, 1, 1), (-1, -1, -1))
     assert not v.connected
     assert not bool(v)
 
 
 def test_split_same_slab_connected():
-    v = connectivity_symmetric_canonical(split3(), (1, 1, 1), (F(9, 10), 1, F(11, 10)))
+    v = Engine(split3()).canonical((1, 1, 1), (F(9, 10), 1, F(11, 10)))
     assert v.connected
 
 
 def test_same_point_trivially_connected():
     y = (F(-1, 2), 0, F(1, 2))
-    assert connectivity_symmetric_canonical(ball3(), y, y).connected
+    assert Engine(ball3()).canonical(y, y).connected
 
 
 def test_unsorted_x_rejected():
     with pytest.raises(PreconditionError, match="weakly increasing"):
-        connectivity_symmetric_canonical(ball3(), (1, 0, 0), (0, 0, 0))
+        Engine(ball3()).canonical((1, 0, 0), (0, 0, 0))
 
 
 def test_infeasible_point_names_constraint():
     with pytest.raises(PreconditionError, match="constraint 1"):
-        connectivity_symmetric_canonical(ball3(), (0, 0, 0), (1, 1, 1))
+        Engine(ball3()).canonical((0, 0, 0), (1, 1, 1))
 
 
 def test_point_outside_box_rejected():
     with pytest.raises(PreconditionError, match="box"):
-        connectivity_symmetric_canonical(ball3(), (0, 0, 0), (-3, 0, 0))
+        Engine(ball3()).canonical((0, 0, 0), (-3, 0, 0))
 
 
 def test_wrong_length_rejected():
     with pytest.raises(PreconditionError, match="coordinates"):
-        connectivity_symmetric_canonical(ball3(), (0, 0), (0, 0, 0))
+        Engine(ball3()).canonical((0, 0), (0, 0, 0))
 
 
 def test_wall_narrow_arcs_unreachable():
-    v = connected_wall(circle(F(1, 2)), ARC_X, 1, cfg=EQCFG)
+    v = Engine(circle(F(1, 2)), EQCFG).wall(ARC_X, 1)
     assert not v.connected
     assert v.certificate["trials"] == []
     assert v.certificate["witness"] is None
 
 
 def test_wall_wide_arcs_reachable():
-    v = connected_wall(circle(3), ARC_X, 1, cfg=EQCFG)
+    v = Engine(circle(3), EQCFG).wall(ARC_X, 1)
     assert v.connected
     assert v.certificate["witness"] is not None
     rep = [F(s) for s in v.certificate["witness"]["representative"]]
@@ -166,11 +160,11 @@ def test_wall_trial_vertex_holds_its_representative(make, x, cfg):
 
 def test_wall_index_out_of_range():
     with pytest.raises(PreconditionError, match="wall index"):
-        connected_wall(ball3(), (0, 0, 0), 3)
+        Engine(ball3()).wall((0, 0, 0), 3)
 
 
 def test_wall_verdict_memoized():
-    eng = get_engine(circle(3), cfg=EQCFG)
+    eng = Engine(circle(3), EQCFG)
     a = eng.wall(ARC_X, 1)
     b = eng.wall(ARC_X, 1)
     assert a is b
@@ -180,8 +174,9 @@ def test_arcs_orbit_connected_but_set_disconnected():
     # sorted copies coincide, yet the swap needs a wall the set never reaches
     narrow = circle(F(1, 2))
     sorted_y = tuple(sorted(ARC_Y))
-    assert connectivity_symmetric_canonical(narrow, ARC_X, sorted_y, cfg=EQCFG).connected
-    v = connectivity_symmetric(narrow, ARC_X, ARC_Y, cfg=EQCFG)
+    eng = Engine(narrow, EQCFG)
+    assert eng.canonical(ARC_X, sorted_y).connected
+    v = eng.symmetric(ARC_X, ARC_Y)
     assert not v.connected
     assert v.certificate["word"] == [1]
     assert v.certificate["orbit"]["connected"]
@@ -189,32 +184,32 @@ def test_arcs_orbit_connected_but_set_disconnected():
 
 
 def test_arcs_wide_symmetric_connected():
-    v = connectivity_symmetric(circle(3), ARC_X, ARC_Y, cfg=EQCFG)
+    v = Engine(circle(3), EQCFG).symmetric(ARC_X, ARC_Y)
     assert v.connected
 
 
 def test_sorted_y_needs_no_walls():
-    v = connectivity_symmetric(ball3(), (0, 0, 0), (F(-1, 2), 0, F(1, 2)))
+    v = Engine(ball3()).symmetric((0, 0, 0), (F(-1, 2), 0, F(1, 2)))
     assert v.connected
     assert v.certificate["word"] == []
     assert v.certificate["walls"] == {}
 
 
 def test_symmetric_unsorted_same_slab():
-    v = connectivity_symmetric(split3(), (1, 1, 1), (F(11, 10), 1, F(9, 10)))
+    v = Engine(split3()).symmetric((1, 1, 1), (F(11, 10), 1, F(9, 10)))
     assert v.connected
     assert set(v.certificate["word"]) == {1, 2}
 
 
 def test_symmetric_orbit_failure_short_circuits():
-    v = connectivity_symmetric(split3(), (1, 1, 1), (-1, -1, -1))
+    v = Engine(split3()).symmetric((1, 1, 1), (-1, -1, -1))
     assert not v.connected
     assert v.certificate["walls"] == {}
 
 
 def test_certificate_replay_is_identical():
-    a = connectivity_symmetric(circle(3), ARC_X, ARC_Y, cfg=EQCFG)
-    b = connectivity_symmetric(circle(3), ARC_X, ARC_Y, cfg=EQCFG)
+    a = Engine(circle(3), EQCFG).symmetric(ARC_X, ARC_Y)
+    b = Engine(circle(3), EQCFG).symmetric(ARC_X, ARC_Y)
     assert a.connected == b.connected
     assert a.certificate == b.certificate
 
@@ -233,7 +228,7 @@ def test_graph_summary_built_once():
 
 
 def test_certificate_is_json_ready():
-    v = connectivity_symmetric(circle(3), ARC_X, ARC_Y, cfg=EQCFG)
+    v = Engine(circle(3), EQCFG).symmetric(ARC_X, ARC_Y)
     text = json.dumps(v.certificate)
     back = json.loads(text)
     assert back["connected"] is True
@@ -241,7 +236,7 @@ def test_certificate_is_json_ready():
 
 
 def test_orbit_certificate_structure():
-    v = connectivity_symmetric_canonical(ball3(), (0, 0, 0), (F(-1, 2), 0, F(1, 2)))
+    v = Engine(ball3()).canonical((0, 0, 0), (F(-1, 2), 0, F(1, 2)))
     c = v.certificate
     assert c["kind"] == "orbit"
     assert c["faces"] == [[1, 2]]
@@ -252,9 +247,21 @@ def test_orbit_certificate_structure():
         assert entry["stabilized"] is True
 
 
-def test_engine_instances_cached():
-    assert get_engine(ball3()) is get_engine(ball3())
-    assert get_engine(ball3()) is not get_engine(split3())
+def test_get_engine_builds_a_new_engine():
+    # the caller owns each engine; nothing is kept between calls
+    a, b = get_engine(ball3(), EQCFG), get_engine(ball3(), EQCFG)
+    assert a is not b
+    assert (a.sys, a.cfg) == (b.sys, b.cfg) == (ball3(), EQCFG)
+
+
+@pytest.mark.parametrize("h", [1, F(1), 1.0], ids=["int", "fraction", "float"])
+def test_int_or_float_pitch_builds_exact_grids(h):
+    # the pitch is stored as a Fraction, so its halves stay exact, and an
+    # int pitch never leaves float grids in the region cache for F(1)
+    arcs = parse_problem((FIXTURES / "circle-arcs.json").read_bytes()).system
+    for sys_ in (arcs, ball3()):
+        g = Engine(sys_, OracleConfig(h=h)).graph()
+        assert all(type(r.h) is F for r in g.resolutions)
 
 
 def split3_fixture_engine():
@@ -438,11 +445,11 @@ def test_repeated_query_checks_each_point_once(calls):
     # x is checked by symmetric and again by each wall it asks; the box
     # and membership check runs once per distinct point all the same
     eng = Engine(split3())
-    checks = calls(engine_module, "power_sums")
+    checks = calls(SymmetricSystem, "box_contains")
     x, y = (1, 1, 1), (F(11, 10), 1, F(9, 10))
     for _ in range(3):
         assert eng.symmetric(x, y).connected
-    counts = Counter(args[0] for args in checks)
+    counts = Counter(point for _sys, point in checks)
     assert set(counts) == {tuple(map(F, x)), tuple(map(F, y))}
     assert max(counts.values()) == 1
 

@@ -1,5 +1,5 @@
 """Every name a module imports, and every private name it defines, is read
-in that module."""
+in that module, and no function keeps state in a module-level name."""
 
 import ast
 import pathlib
@@ -58,6 +58,177 @@ def unread_private_names(source: str) -> list[str]:
     }
     private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
     return sorted(private - used)
+
+
+MUTATING_METHODS = frozenset(
+    {
+        "add", "append", "appendleft", "clear", "discard", "extend", "insert",
+        "pop", "popitem", "popleft", "remove", "reverse", "setdefault", "sort",
+        "update",
+    }
+)
+CACHE_DECORATORS = frozenset({"cache", "lru_cache"})
+# (module, function) pairs allowed a cache decorator: the benchmark's tracer
+# reads `oracle._resolve_cached.cache_info()`
+ALLOWED_CACHES = frozenset({("oracle", "_resolve_cached")})
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _same_scope(nodes):
+    """The nodes and their descendants, not entering nested scopes."""
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _bound_names(nodes) -> set[str]:
+    """Names the nodes bind in their own scope."""
+    names = set()
+    for node in _same_scope(nodes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+    return names
+
+
+def _decorator_name(dec) -> str | None:
+    dec = dec.func if isinstance(dec, ast.Call) else dec
+    return dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+
+
+def module_state_writes(source: str, cached_ok=frozenset()) -> list[str]:
+    """Places where a function changes a module-level name, and cached functions.
+
+    Inside a function (or lambda), a module-level name that is not local
+    to it or to an enclosing function must not be the target of a
+    subscript store or delete, nor the receiver of a mutating method
+    call; a `global` statement is reported outright.  A function
+    decorated with `cache` or `lru_cache` is reported unless its name is
+    in `cached_ok`.  Work done at import time, outside any function, is
+    not reported.
+    """
+    tree = ast.parse(source)
+    module = _bound_names(tree.body)
+    found = []
+
+    def visit(node, func, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            decorators = getattr(node, "decorator_list", [])
+            for dec in decorators:
+                if _decorator_name(dec) in CACHE_DECORATORS and name not in cached_ok:
+                    found.append(f"{name}: cached by {_decorator_name(dec)}")
+            # decorators and defaults run in the enclosing scope
+            for child in [*decorators, *node.args.defaults, *node.args.kw_defaults]:
+                if child is not None:
+                    visit(child, func, local)
+            args = node.args
+            params = {
+                a.arg
+                for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if a is not None
+            }
+            body = node.body if isinstance(node.body, list) else [node.body]
+            declared = {
+                n
+                for stmt in _same_scope(body)
+                if isinstance(stmt, (ast.Global, ast.Nonlocal))
+                for n in stmt.names
+            }
+            scope = local | ((params | _bound_names(body)) - declared)
+            for child in body:
+                visit(child, name, scope)
+            return
+        if func is not None:
+            if isinstance(node, ast.Global):
+                found.extend(f"{n}: declared global in {func}" for n in node.names)
+            target = None
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target, how = node.value, "subscript store"
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Del):
+                target, how = node.value, "subscript delete"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATING_METHODS
+            ):
+                target, how = node.func.value, f".{node.func.attr}() call"
+            if isinstance(target, ast.Name) and target.id in module and target.id not in local:
+                found.append(f"{target.id}: {how} in {func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, local)
+
+    visit(tree, None, frozenset())
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_keeps_state_in_a_module_global(path):
+    ok = {f for mod, f in ALLOWED_CACHES if mod == path.stem}
+    found = module_state_writes(path.read_text(), cached_ok=ok)
+    assert [f"{path.stem}.{entry}" for entry in found] == []
+
+
+def test_module_state_write_is_caught():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_CACHE = {}\n"
+        "_SEEN = set()\n"
+        "_TABLE = {'a': 1}\n"
+        "_TABLE['b'] = 2\n"
+        "_COUNT = 0\n"
+        "def get(key):\n"
+        "    _CACHE[key] = 1\n"
+        "    while len(_CACHE) > 4:\n"
+        "        _CACHE.pop(next(iter(_CACHE)))\n"
+        "    return _CACHE[key]\n"
+        "def forget(key):\n"
+        "    del _CACHE[key]\n"
+        "def bump():\n"
+        "    global _COUNT\n"
+        "    _COUNT += 1\n"
+        "class Engine:\n"
+        "    def see(self, x):\n"
+        "        _SEEN.add(x)\n"
+        "        self._memo = {}\n"
+        "        self._memo[x] = _TABLE['a']\n"
+        "def local_names(_SEEN, items):\n"
+        "    _CACHE = {}\n"
+        "    _CACHE.update(items)\n"
+        "    _SEEN.append(1)\n"
+        "    def inner():\n"
+        "        _CACHE.clear()\n"
+        "    return inner\n"
+        "note = lambda x: _SEEN.discard(x)\n"
+        "@lru_cache(maxsize=8)\n"
+        "def solve(x):\n"
+        "    return x\n"
+        "@functools.cache\n"
+        "def table(x):\n"
+        "    return x\n"
+        "@lru_cache\n"
+        "def allowed(x):\n"
+        "    return x\n"
+    )
+    assert module_state_writes(source, cached_ok={"allowed"}) == [
+        "_CACHE: subscript store in get",
+        "_CACHE: .pop() call in get",
+        "_CACHE: subscript delete in forget",
+        "_COUNT: declared global in bump",
+        "_SEEN: .add() call in see",
+        "_SEEN: .discard() call in <lambda>",
+        "solve: cached by lru_cache",
+        "table: cached by cache",
+    ]
 
 
 @pytest.mark.parametrize(

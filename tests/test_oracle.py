@@ -253,6 +253,18 @@ def test_config_validation():
         OracleConfig(max_depth=-1)
 
 
+def test_config_stores_exact_rationals():
+    # an int, an integral float or a rational string converts exactly;
+    # any other float, or anything that is no rational, is refused
+    for h in (1, 1.0, "1"):
+        cfg = OracleConfig(h=h, eq_delta=h)
+        assert cfg == OracleConfig(h=F(1), eq_delta=F(1))
+        assert type(cfg.h) is F and type(cfg.eq_delta) is F
+    for bad in ({"h": 0.1}, {"eq_delta": 0.25}, {"h": float("inf")}, {"h": "abc"}):
+        with pytest.raises(DomainError, match="exact"):
+            OracleConfig(**bad)
+
+
 def test_face_region_includes_chamber_ordering():
     face = restrict(ball3(), (1, 2))
     r = face_region(face)

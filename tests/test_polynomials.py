@@ -16,7 +16,6 @@ from symconn.polynomials import (
     block_substitute,
     chamber_atoms,
     make_box,
-    power_sums,
     restrict,
     vandermonde_map,
     weighted_power_sum,
@@ -119,8 +118,8 @@ def test_power_sum_poly_eval():
 
 
 def test_power_sums_exact():
-    assert power_sums([1, 1, 2], 3) == (F(4), F(6), F(10))
-    assert power_sums([F(1, 2), F(-1, 2)], 2) == (F(0), F(1, 2))
+    assert vandermonde_map([1, 1, 2], 3) == (F(4), F(6), F(10))
+    assert vandermonde_map([F(1, 2), F(-1, 2)], 2) == (F(0), F(1, 2))
 
 
 def test_vandermonde_map_example():
@@ -128,14 +127,14 @@ def test_vandermonde_map_example():
 
 
 def test_vandermonde_map_weighted():
-    # weights (2,1) on block values (1,2): 2*1+1*2=4, 2*1+1*4=6
-    assert vandermonde_map((1, 2), 2, weights=(2, 1)) == (F(4), F(6))
-    # consistency: weighted map on block values == plain map on embedded point
+    # block values (1,2) on the face (2,1) embed as (1,1,2): 2*1+1*2=4, 2*1+1*4=6
+    assert vandermonde_map(embed(composition((2, 1)), (1, 2)), 2) == (F(4), F(6))
+    # consistency: the face's weighted power sums on block values == plain
+    # map on the embedded point
     lam = composition((2, 1))
     z = [F(-1, 3), F(5, 7)]
-    assert vandermonde_map(z, 2, weights=lam.parts) == vandermonde_map(
-        embed(lam, z), 2
-    )
+    weighted = tuple(weighted_power_sum(j, lam.parts).eval(z) for j in (1, 2))
+    assert weighted == vandermonde_map(embed(lam, z), 2)
 
 
 def test_relation_holds():
@@ -248,7 +247,7 @@ def test_restrict_commutes_with_embedding():
         z = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ell)]
         x = embed(lam, z)
         face_val = face.constraints[0][0].eval(z)
-        parent_val = q.eval(power_sums(x, d))
+        parent_val = q.eval(vandermonde_map(x, d))
         assert face_val == parent_val
 
 

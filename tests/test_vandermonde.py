@@ -10,9 +10,9 @@ from sympy.polys.orderings import grevlex
 from sympy.polys.rings import ring
 
 import symconn.vandermonde as vandermonde_module
-from symconn.compositions import composition, extremal_compositions
+from symconn.compositions import composition, embed, extremal_compositions
 from symconn.errors import DomainError, SolverError
-from symconn.polynomials import power_sums, vandermonde_map
+from symconn.polynomials import vandermonde_map
 from symconn.realroots import (
     AlgebraicPoint,
     UniPoly,
@@ -84,7 +84,7 @@ def test_pair_tangent_double_root():
 def test_generic_roundtrip_fixed():
     zstar = (F(-1), F(1, 2), F(2))
     w = (1, 2, 1)
-    a = vandermonde_map(zstar, 3, weights=w)
+    a = vandermonde_map(embed(composition(w), zstar), 3)
     pts = fiber_points(w, a)
     assert any(
         all(p.coordinate_sign(i, offset=zstar[i]) == 0 for i in range(3))
@@ -100,7 +100,7 @@ def test_generic_tangent_multiplicity():
     # z*=(1,1,2) makes the Jacobian singular; the squarefree pass must still
     # produce the solution exactly once
     w = (1, 1, 2)
-    a = vandermonde_map((1, 1, 2), 3, weights=w)
+    a = vandermonde_map(embed(composition(w), (1, 1, 2)), 3)
     pts = fiber_points(w, a)
     matches = [
         p
@@ -122,7 +122,7 @@ def test_unit_weights_recover_sorted_multiset():
         x = [F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(n)]
         if rng.random() < 0.4:
             x[rng.randrange(n)] = x[rng.randrange(n)]  # force duplicates sometimes
-        a = power_sums(x, n)
+        a = vandermonde_map(x, n)
         pts = fiber_points((1,) * n, a)
         assert len(pts) == 1
         want = sorted(x)
@@ -139,7 +139,7 @@ def test_roundtrip_random_small_degrees():
         vals = sorted(
             rng.sample([F(k, 2) for k in range(-8, 9)], d)
         )
-        a = vandermonde_map(vals, d, weights=w)
+        a = vandermonde_map(embed(composition(w), vals), d)
         pts = fiber_points(w, a)
         assert any(
             all(p.coordinate_sign(i, offset=vals[i]) == 0 for i in range(d))
@@ -171,11 +171,11 @@ def test_min_canonical_dominates_fiber_members(power_sum_sign):
         n = rng.randint(2, 5)
         d = rng.randint(1, 2)
         x = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
-        a = power_sums(x, d)
+        a = vandermonde_map(x, d)
         res = min_canonical(n, d, a)
         assert res is not None
         assert verify_fiber_point(res.point, res.lam.parts, a)
-        higher = power_sums(x, d + 1)[d]
+        higher = vandermonde_map(x, d + 1)[d]
         assert power_sum_sign(res.point, res.lam.parts, d + 1, higher) <= 0
 
 
@@ -186,11 +186,11 @@ def test_min_canonical_dominates_points_on_pattern_faces(power_sum_sign):
     for _ in range(4):
         z = sorted(rng.sample([F(k, 2) for k in range(-6, 7)], 3))
         x = [z[0], z[1], z[1], z[2]]  # on the (1,2,1) face, n=4, d=3
-        a = power_sums(x, 3)
+        a = vandermonde_map(x, 3)
         res = min_canonical(4, 3, a)
         assert res is not None
         assert verify_fiber_point(res.point, res.lam.parts, a)
-        higher = power_sums(x, 4)[3]
+        higher = vandermonde_map(x, 4)[3]
         assert power_sum_sign(res.point, res.lam.parts, 4, higher) <= 0
 
 
@@ -199,7 +199,7 @@ def test_min_canonical_degenerate_fiber_stays_on_pattern_faces(power_sum_sign):
     # itself, off every extremal face; the canonical point is the arc's other
     # end ((1-s)/2, 1/2, 1/2, (1+s)/2) with s = sqrt(2), where p_4 = 9/4
     x = [F(0), F(0), F(1), F(1)]
-    a = power_sums(x, 3)
+    a = vandermonde_map(x, 3)
     res = min_canonical(4, 3, a)
     assert res is not None
     assert res.lam == composition((1, 2, 1))
@@ -213,12 +213,12 @@ def test_min_canonical_odd_degree_returns_family_extremum(power_sum_sign):
     # odd d: the extremal faces hold the far end of the p_{d+1} range, so a
     # fiber member off those faces may have a smaller value than the result
     x = [F(0), F(1, 2), F(1), F(2)]
-    a = power_sums(x, 3)
+    a = vandermonde_map(x, 3)
     res = min_canonical(4, 3, a)
     assert res is not None
     assert res.lam == composition((1, 2, 1))
     assert verify_fiber_point(res.point, res.lam.parts, a)
-    higher = power_sums(x, 4)[3]
+    higher = vandermonde_map(x, 4)[3]
     assert power_sum_sign(res.point, res.lam.parts, 4, higher) > 0
 
 
@@ -280,7 +280,7 @@ def test_fiber_meets_the_extremal_family_at_one_point():
     cases += [(5, 4, x) for x in TWO_FACE_D4]
     two_faces = 0
     for n, d, x in cases:
-        a = power_sums(x, d)
+        a = vandermonde_map(x, d)
         hits = face_hits(n, d, a)
         assert hits and all(len(pts) == 1 for _, pts in hits)
         embedded = [CanonicalPoint(lam, pts[0]).embedded_point() for lam, pts in hits]
@@ -289,7 +289,7 @@ def test_fiber_meets_the_extremal_family_at_one_point():
         assert (res.lam, res.point) == (hits[0][0], hits[0][1][0])
         two_faces += len(hits) == 2
     assert two_faces == len(TWO_FACE_D4)
-    assert [lam.parts for lam, _ in face_hits(5, 4, power_sums(TWO_FACE_D4[0], 4))] == [
+    assert [lam.parts for lam, _ in face_hits(5, 4, vandermonde_map(TWO_FACE_D4[0], 4))] == [
         (1, 1, 1, 2),
         (1, 2, 1, 1),
     ]
@@ -302,7 +302,7 @@ def test_fiber_meets_the_extremal_family_at_one_point():
 )
 def test_min_canonical_stops_at_the_first_face_met(calls, x, solved):
     solves = calls(vandermonde_module, "fiber_points")
-    assert min_canonical(5, 4, power_sums(x, 4)) is not None
+    assert min_canonical(5, 4, vandermonde_map(x, 4)) is not None
     assert len(solves) == solved
 
 
@@ -380,12 +380,12 @@ def random_weighted_systems(seed, count=6):
     for _ in range(count):
         w = tuple(rng.randint(1, 3) for _ in range(3))
         z = sorted(rng.sample([F(k, 2) for k in range(-6, 7)], 3))
-        out.append((w, vandermonde_map(z, 3, weights=w)))
+        out.append((w, vandermonde_map(embed(composition(w), z), 3)))
     return out
 
 
 # the d = 4 ball fiber: y = (-1/2, 0, 0, 0, 1/2) meets face (1, 2, 1, 1)
-BALL_D4 = ((1, 2, 1, 1), power_sums((F(-1, 2), 0, 0, 0, F(1, 2)), 4))
+BALL_D4 = ((1, 2, 1, 1), vandermonde_map((F(-1, 2), 0, 0, 0, F(1, 2)), 4))
 
 
 def mat_mul(A, B):
