@@ -78,7 +78,6 @@ from .vandermonde import (
     CanonicalPoint,
     fiber_points,
     min_canonical,
-    verify_fiber_point,
 )
 from .verify import run_verify
 
@@ -139,5 +138,4 @@ __all__ = [
     "thom_encoding",
     "thom_rooted",
     "vandermonde_map",
-    "verify_fiber_point",
 ]

@@ -162,8 +162,8 @@ class Engine:
         self._cfg_json = _config_json(self.cfg)
         self._graph: UnionGraph | None = None
         self._graph_summary: dict | None = None
-        self._feasible: set = set()  # points whose box and membership check passed
-        self._canon: dict = {}
+        self._feasible: dict = {}  # point -> power sums, once its checks passed
+        self._canon: dict = {}  # power sums -> canonical point data
         self._wall_faces: dict = {}  # merged face -> [(point, vertex)]
         self._wall_search: dict = {}  # (wall, component) -> (trials, witness)
         self._walls: dict = {}
@@ -183,6 +183,7 @@ class Engine:
     # -- validation ----------------------------------------------------------
 
     def _check_point(self, x: Sequence, name: str, sorted_required=True):
+        """(point as Fractions, its first d power sums) for a feasible point."""
         xs = tuple(Fraction(v) for v in x)
         if len(xs) != self.sys.n:
             raise PreconditionError(
@@ -193,8 +194,9 @@ class Engine:
                 f"{name} must be weakly increasing; sort it first "
                 "(the answer is invariant under sorting the query orbit)"
             )
-        if xs in self._feasible:
-            return xs
+        hit = self._feasible.get(xs)
+        if hit is not None:
+            return xs, hit
         if not self.sys.box_contains(xs):
             raise PreconditionError(f"{name} lies outside the system box")
         p = vandermonde_map(xs, self.sys.d)
@@ -205,16 +207,19 @@ class Engine:
                     f"{name} is infeasible: constraint {k + 1} "
                     f"({c.rel.name}) evaluates to {v}"
                 )
-        self._feasible.add(xs)
-        return xs
+        self._feasible[xs] = p
+        return xs, p
 
     # -- canonical fiber points ----------------------------------------------
 
-    def _canonical(self, xs: tuple) -> dict:
-        hit = self._canon.get(xs)
+    def _canonical(self, a: tuple) -> dict:
+        """Canonical point data of the fiber over the power sums a.
+
+        Keyed by a, so a point and every permutation of it share one entry.
+        """
+        hit = self._canon.get(a)
         if hit is not None:
             return hit
-        a = vandermonde_map(xs, self.sys.d)
         cp = min_canonical(self.sys.n, self.sys.d, a)
         if cp is None:
             raise SolverError(
@@ -229,7 +234,7 @@ class Engine:
             "home": composition(runs),
             "clamped": clamped,
         }
-        self._canon[xs] = data
+        self._canon[a] = data
         return data
 
     def _locate(self, data: dict) -> int:
@@ -286,9 +291,9 @@ class Engine:
 
     # -- deciders --------------------------------------------------------------
 
-    def _orbit_verdict(self, xs: tuple, ys: tuple) -> Verdict:
-        dx = self._canonical(xs)
-        dy = self._canonical(ys)
+    def _orbit_verdict(self, xs: tuple, px: tuple, ys: tuple, py: tuple) -> Verdict:
+        dx = self._canonical(px)
+        dy = self._canonical(py)
         ix = self._locate(dx)
         iy = self._locate(dy)
         g = self.graph()
@@ -309,9 +314,9 @@ class Engine:
 
     def canonical(self, x: Sequence, y: Sequence) -> Verdict:
         """Orbit connectivity for weakly increasing feasible x and y."""
-        xs = self._check_point(x, "x")
-        ys = self._check_point(y, "y")
-        return self._orbit_verdict(xs, ys)
+        xs, px = self._check_point(x, "x")
+        ys, py = self._check_point(y, "y")
+        return self._orbit_verdict(xs, px, ys, py)
 
     def wall(self, x: Sequence, i: int) -> Verdict:
         """Does the sorted-slice component of x touch the wall x_i = x_{i+1}?
@@ -332,7 +337,7 @@ class Engine:
         face loop first reaches it, and the trials and witness of each
         (wall, component) pair; the verdict for (x, i) is kept as well.
         """
-        xs = self._check_point(x, "x")
+        xs, px = self._check_point(x, "x")
         if not 1 <= i <= self.sys.n - 1:
             raise PreconditionError(f"wall index {i} outside 1..{self.sys.n - 1}")
         key = (xs, i)
@@ -340,7 +345,7 @@ class Engine:
         if hit is not None:
             return hit
 
-        dx = self._canonical(xs)
+        dx = self._canonical(px)
         comp = self.graph().labels[self._locate(dx)]
         search = self._wall_search.get((i, comp))
         if search is None:
@@ -418,10 +423,10 @@ class Engine:
         orbit-connected to x, and every wall used by a swap must be
         reachable from the component of x.
         """
-        xs = self._check_point(x, "x")
-        ys = self._check_point(y, "y", sorted_required=False)
+        xs, px = self._check_point(x, "x")
+        ys, py = self._check_point(y, "y", sorted_required=False)
         word, ysort = sorting_transpositions(ys)
-        base = self._orbit_verdict(xs, ysort)
+        base = self._orbit_verdict(xs, px, ysort, py)
 
         walls_needed = []
         for i in word:

@@ -101,7 +101,7 @@ class OracleConfig:
     times.  `eq_delta` of None means the EQ slab width follows the
     current pitch.  GT constraints are shrunk by a margin of one pitch.
     Both are stored as `Fraction`s; an int converts exactly, and a float
-    must be integral.
+    must be integral.  `max_depth` must be an int.
     """
 
     h: Fraction = Fraction(1, 2)
@@ -116,6 +116,8 @@ class OracleConfig:
             raise DomainError("grid pitch must be positive")
         if self.eq_delta is not None and self.eq_delta < 0:
             raise DomainError("eq_delta must be nonnegative")
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
+            raise DomainError(f"max_depth must be an int, got {self.max_depth!r}")
         if self.max_depth < 0:
             raise DomainError("max_depth must be nonnegative")
 

@@ -417,9 +417,6 @@ class RealRoot:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def refine_to(self, width: Fraction):
         """Bisect until the enclosure is at most `width` wide."""
         if self.is_exact():
@@ -598,12 +595,6 @@ class AlgebraicPoint:
     def approx(self, eps) -> tuple[Fraction, ...]:
         return tuple((lo + hi) / 2 for lo, hi in self.refine(eps))
 
-    def coordinate_sign(self, i: int, offset=0) -> Sign:
-        """Sign of x_i - offset, exactly."""
-        root = self.root()
-        num = self.coords[i] - self.q0.scale(Fraction(offset))
-        return sign_at(num, root) * sign_at(self.q0, root)
-
     def coordinate_compare(self, i: int, j: int) -> Sign:
         """Sign of x_i - x_j, exactly."""
         root = self.root()
@@ -624,17 +615,6 @@ class AlgebraicPoint:
                 run = 1
         runs.append(run)
         return tuple(runs)
-
-    def exact_rational(self) -> tuple[Fraction, ...] | None:
-        """The coordinates, if they are plainly rational; else None."""
-        root = self.root()
-        if root.is_exact():
-            d = self.q0.eval(root.lo)
-            return tuple(c.eval(root.lo) / d for c in self.coords)
-        if all(c.degree <= 0 for c in self.coords) and self.q0.degree <= 0:
-            d = self.q0.eval(0)
-            return tuple(c.eval(0) / d for c in self.coords)
-        return None
 
     def payload(self) -> dict:
         """JSON-ready serialization; coefficients as exact strings."""

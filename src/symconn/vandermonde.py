@@ -7,12 +7,20 @@ as a rational parametrization (q, q0, q_1..q_d): each solution is
 (q_1/q0, ..., q_d/q0) evaluated at a root of q, with gcd(q, q0) = 1.
 
 Degrees one and two admit closed forms by linear elimination.  Higher degrees
-go through a Groebner basis of the system, computed with normal forms in
-sympy's sparse polynomial ring, multiplication matrices on the quotient, a
-radical-ization pass (adjoining squarefree univariate vanishing polynomials),
-a separating linear form, and trace formulas.  A border monomial that leads
-a basis element takes its normal form from that element; the others are
-reduced by sympy.
+build the multiplication matrices of the quotient algebra from the system's
+symmetry under permuting blocks of equal weight (Faugere & Svartz 2013).  The
+largest such group is solved through its elementary symmetric functions,
+which Newton's identities express in the other unknowns, leaving a system J
+in those alone; the Cauchy modules then split the group's values, and they
+are a Groebner basis as they stand.  J in one unknown is one polynomial with
+a companion matrix, which covers every d = 3 face.  Only J in two or more
+unknowns takes a Groebner basis, computed with normal forms in sympy's
+sparse polynomial ring; a border monomial that leads a basis element takes
+its normal form from that element, and the others are reduced by sympy.
+That is the only use of sympy.  The algebra is then divided by its
+nilradical, the ideal of the coordinates' squarefree minimal polynomials
+(Seidenberg), and a separating linear form and trace formulas give the
+parametrization.
 
 The matrices hold `Fraction`s, but the linear algebra on them clears
 denominators once and runs over Python ints: minimal polynomials come from
@@ -24,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 from typing import Sequence
 
 from .compositions import Composition, extremal_compositions
@@ -90,33 +99,33 @@ def _solve_pair(w, rhs) -> Parametrization:
 
 
 def _solve_generic(w, rhs) -> Parametrization | None:
-    from sympy.polys.domains import QQ
-    from sympy.polys.orderings import grevlex
-    from sympy.polys.rings import ring
-
-    d = len(w)
-    R, *zs = ring(",".join(f"z{k}" for k in range(1, d + 1)), QQ, grevlex)
-    eqs = [sum(m * z**j for m, z in zip(w, zs)) - rhs[j - 1] for j in range(1, d + 1)]
-    data = _quotient_data(eqs, R)
-    if data is None:
+    mats = _fiber_algebra(w, rhs)
+    if mats is None:
         return None
-    basis, mats = data
 
-    # adjoin squarefree univariate vanishing polynomials where the existing
-    # ones have repeated roots; afterwards the ideal is radical
-    extra = []
-    for i, z in enumerate(zs):
-        f = _krylov_min_poly(mats[i])
+    # quotient by the ideal of the squarefree parts of the coordinates'
+    # minimal polynomials where those have repeated roots; it holds a
+    # squarefree univariate polynomial in every variable, so it is radical
+    # (Seidenberg) and the quotient is reduced
+    nilpotent = []
+    for M in mats:
+        f = _krylov_min_poly(M)
         sf = squarefree_part(f)
         if sf.degree < f.degree:
-            extra.append(sum(c * z**k for k, c in enumerate(sf.coeffs)))
-    if extra:
-        data = _quotient_data(eqs + extra, R)
-        if data is None:
-            raise SolverError("radical pass emptied a nonempty system")
-        basis, mats = data
+            nilpotent.append(_poly_at_one(sf, M))
+    if nilpotent:
+        mats = _quotient_by_ideal(mats, nilpotent)
+    return _parametrize(mats)
 
-    D = len(basis)
+
+def _parametrize(mats) -> Parametrization:
+    """Rational parametrization of a reduced algebra's points.
+
+    mats are the coordinates' multiplication matrices, basis element 0 is
+    1.  The result depends on the algebra alone, not on its basis.
+    """
+    d = len(mats)
+    D = len(mats[0])
     q = None
     for cand in _separating_candidates(d, D):
         mu = _mat_combine(mats, cand, D)
@@ -152,6 +161,291 @@ def _solve_generic(w, rhs) -> Parametrization | None:
         raise SolverError("trace identity failed; solver state is inconsistent")
     coords = tuple(_trace_poly(q, t_var[i]) for i in range(d))
     return Parametrization(q=q, q0=q0, coords=coords)
+
+
+def _fiber_algebra(w, rhs):
+    """Multiplication matrices of z_1..z_d on Q[z]/I, I the weighted system.
+
+    The largest group of m blocks with a common weight is solved through
+    its elementary symmetric functions (`_newton_reduction`): with y the
+    other r = d - m unknowns, I = (e_i(x) - E_i(y)) + J for polynomials
+    E_i and r equations J in y alone.  So Q[z]/I is B[x]/(e_i(x) - E_i)
+    over B = Q[y]/J: the splitting algebra of t^m - E_1 t^(m-1) + ...,
+    free over B with the basis x_0^a_0 ... x_(m-1)^a_(m-1), a_k < m - k
+    (`_cauchy_reduce`).  Basis element (a, b) is x^a times B's element b.
+
+    B is Q for r = 0 and a companion matrix for r = 1, so neither needs a
+    Groebner basis; r >= 2 takes one of J from `_quotient_data`.  Basis
+    element 0 is 1.  None when the system has no complex solutions.
+    """
+    group, others, E, J = _newton_reduction(w, rhs)
+    base = _base_algebra(J, len(others))
+    if base is None:
+        return None
+    basis, bmats = base
+    DB = len(basis)
+    ME = [None] + [_base_matrix(ek, basis, bmats) for ek in E[1:]]
+
+    m = len(group)
+    alphas = list(product(*(range(m - k) for k in range(m))))
+    pos = {a: i for i, a in enumerate(alphas)}
+    D = len(alphas) * DB
+    steps = _cauchy_steps(m)
+    mats = [None] * len(w)
+    for slot, k in enumerate(others):
+        M = [[Fraction(0)] * D for _ in range(D)]
+        for off in range(0, D, DB):
+            for row in range(DB):
+                M[off + row][off:off + DB] = bmats[slot][row]
+        mats[k] = M
+    for slot, k in enumerate(group):
+        M = [[Fraction(0)] * D for _ in range(D)]
+        for a in alphas:
+            nxt = tuple(e + (s == slot) for s, e in enumerate(a))
+            for b in range(DB):
+                unit = [Fraction(int(i == b)) for i in range(DB)]
+                col = pos[a] * DB + b
+                for a2, v in _cauchy_reduce({nxt: unit}, m, ME, steps).items():
+                    off = pos[a2] * DB
+                    for row, x in enumerate(v):
+                        M[off + row][col] = x
+        mats[k] = M
+    return mats
+
+
+def _newton_reduction(w, rhs):
+    """(group, others, E, J) for the largest equal-weight group of blocks.
+
+    The group's m blocks have weight c; y are the other r unknowns.
+    Equation j gives the group's power sum P_j = (a_j - sum_k w_k y_k^j) / c.
+    Newton's identities turn P_1..P_m into e_1..e_m, the polynomials
+    E_1..E_m in y, and give P_j = sum_i (-1)^(i-1) e_i P_(j-i) for j > m,
+    so equation j > m becomes the polynomial
+    sum_i (-1)^(i-1) E_i P_(j-i) - P_j in J.  Polynomials are dicts from
+    exponent tuples over y to `Fraction`s; E[0] is 1.
+    """
+    groups: dict = {}
+    for k, wk in enumerate(w):
+        groups.setdefault(wk, []).append(k)
+    group = max(groups.values(), key=len)
+    c, m = w[group[0]], len(group)
+    others = [k for k in range(len(w)) if k not in group]
+    r = len(others)
+
+    zero = (0,) * r
+    P = [None]
+    for j in range(1, len(w) + 1):
+        pj = {zero: rhs[j - 1] / c}
+        for slot, k in enumerate(others):
+            pj[tuple(j if s == slot else 0 for s in range(r))] = Fraction(-w[k], c)
+        P.append(pj)
+    E = [{zero: Fraction(1)}]
+    for k in range(1, m + 1):
+        ek: dict = {}
+        for i in range(1, k + 1):
+            _add_into(ek, _poly_mul(E[k - i], P[i]), Fraction((-1) ** (i - 1), k))
+        E.append(ek)
+    J = []
+    for j in range(m + 1, len(w) + 1):
+        jj: dict = {}
+        for i in range(1, m + 1):
+            _add_into(jj, _poly_mul(E[i], P[j - i]), (-1) ** (i - 1))
+        _add_into(jj, P[j], -1)
+        J.append(jj)
+    return group, others, E, J
+
+
+def _base_algebra(J, r):
+    """(monomial basis, multiplication matrices) of B = Q[y_1..y_r]/J."""
+    if r == 0:
+        return [()], []
+    if r == 1:
+        (g,) = J
+        g = UniPoly([g.get((k,), 0) for k in range(max(g, default=(-1,))[0] + 1)])
+        if g.is_zero():
+            raise SolverError("system has infinitely many complex solutions")
+        if g.degree == 0:
+            return None
+        # companion matrix of the monic generator: column k holds y * y^k
+        g = g.monic()
+        n = g.degree
+        M = [[Fraction(int(row == col + 1)) for col in range(n)] for row in range(n)]
+        for row in range(n):
+            M[row][n - 1] = -g.coeffs[row]
+        return [(k,) for k in range(n)], [M]
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
+
+    R, *_ = ring(",".join(f"y{k}" for k in range(1, r + 1)), QQ, grevlex)
+    eqs = [
+        R.from_dict({mon: QQ(x.numerator, x.denominator) for mon, x in p.items()})
+        for p in J
+    ]
+    return _quotient_data(eqs, R)
+
+
+def _base_matrix(f: dict, basis, mats):
+    """Multiplication matrix of the polynomial f on B; column b is f * b."""
+    one = [Fraction(0)] * len(basis)
+    for mon, coef in f.items():
+        v = [Fraction(int(i == 0)) for i in range(len(basis))]
+        for M, e in zip(mats, mon):
+            for _ in range(e):
+                v = _mat_vec(M, v)
+        one = [x + coef * y for x, y in zip(one, v)]
+    cols = _monomial_images(basis, mats, one)
+    return [[col[row] for col in cols] for row in range(len(basis))]
+
+
+def _poly_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def _add_into(acc: dict, f: dict, scale) -> None:
+    for e, x in f.items():
+        v = acc.get(e, 0) + scale * x
+        if v:
+            acc[e] = v
+        else:
+            acc.pop(e, None)
+
+
+def _mat_vec(M, v):
+    nz = [(c, x) for c, x in enumerate(v) if x]
+    return [sum(row[c] * x for c, x in nz) for row in M]
+
+
+def _monomial_images(basis, mats, v):
+    """[b * v for each basis monomial b], along the order ideal's edges."""
+    out = {basis[0]: v}
+    for mon in sorted(basis[1:], key=sum):
+        i = next(i for i, e in enumerate(mon) if e)
+        prev = tuple(e - (k == i) for k, e in enumerate(mon))
+        out[mon] = _mat_vec(mats[i], out[prev])
+    return [out[mon] for mon in basis]
+
+
+def _cauchy_steps(m):
+    """Rewrite rules of the Cauchy modules, one list per group variable.
+
+    Module k is monic of degree m - k in x_k and involves x_0..x_k only:
+    x_k^(m-k) = sum_j (-1)^(j+1) e_j(x_k..x_(m-1)) x_k^(m-k-j), where
+    e_j(x_k..x_(m-1)) = sum_i (-1)^i h_i(x_0..x_(k-1)) E_(j-i).  Each entry
+    is (exponent shift, index t of E_t, sign) of one term.  The leading
+    terms are powers of distinct variables, so the modules are a Groebner
+    basis (Buchberger's first criterion).
+    """
+    steps = []
+    for k in range(m):
+        rules = []
+        for j in range(1, m - k + 1):
+            for i in range(j + 1):
+                for combo in combinations_with_replacement(range(k), i):
+                    shift = [combo.count(s) for s in range(k)] + [m - k - j]
+                    shift += [0] * (m - k - 1)
+                    rules.append((tuple(shift), j - i, (-1) ** (j + 1 + i)))
+        steps.append(rules)
+    return steps
+
+
+def _cauchy_reduce(poly: dict, m, ME, steps) -> dict:
+    """Normal form of sum_a x^a v_a (v_a in B) modulo the Cauchy modules.
+
+    Rewriting x_k^(m-k) lowers x_k and raises only x_0..x_(k-1), so the
+    largest monomial in the lex order that ranks x_(m-1) first is final
+    or rewritten into smaller ones; it is never met again.
+    """
+    out = {}
+    while poly:
+        a = max(poly, key=lambda e: e[::-1])
+        v = poly.pop(a)
+        k = next((k for k in reversed(range(m)) if a[k] >= m - k), None)
+        if k is None:
+            out[a] = v
+            continue
+        base = a[:k] + (a[k] - (m - k),) + a[k + 1:]
+        for shift, t, sign in steps[k]:
+            term = v if t == 0 else _mat_vec(ME[t], v)
+            b = tuple(x + y for x, y in zip(base, shift))
+            acc = poly.get(b)
+            if acc is None:
+                poly[b] = [sign * x for x in term]
+            else:
+                poly[b] = [x + sign * y for x, y in zip(acc, term)]
+    return out
+
+
+def _poly_at_one(f: UniPoly, M):
+    """f(z) for z with matrix M, as a vector: f(M) applied to element 1."""
+    D = len(M)
+    v = [Fraction(0)] * D
+    for c in reversed(f.coeffs):
+        v = _mat_vec(M, v)
+        v[0] += c
+    return v
+
+
+def _quotient_by_ideal(mats, gens):
+    """Multiplication matrices on A / (gens), gens given as vectors of A.
+
+    The ideal is the span of gens closed under every M_i.  A vector's
+    multiples span the same line, so the closure runs over integer vectors
+    and the integer matrices L_i M_i.  Its basis is kept in reduced echelon
+    form: a row's pivot is its last nonzero entry, and every other row is
+    zero there.  Element 0 (the unit) is a pivot only if 1 lies in the
+    ideal, so the quotient basis is the non-pivot elements, 0 first, and
+    pivot element p maps to -row_p / row_p[p] on them.
+    """
+    D = len(mats[0])
+    sparse = [
+        [[(c, x) for c, x in enumerate(row) if x] for row in _integer_matrix(M)[0]]
+        for M in mats
+    ]
+    rows: dict = {}
+    queue = [_integer_matrix([g])[0][0] for g in gens]
+    while queue:
+        v = queue.pop()
+        for q, row in rows.items():
+            if v[q]:
+                v = [row[q] * x - v[q] * y for x, y in zip(v, row)]
+        p = next((i for i in reversed(range(D)) if v[i]), None)
+        if p is None:
+            continue
+        if p == 0:
+            raise SolverError("radical pass emptied a nonempty system")
+        v = _primitive(v)
+        for q, row in rows.items():
+            if row[p]:
+                rows[q] = _primitive([v[p] * x - row[p] * y for x, y in zip(row, v)])
+        rows[p] = v
+        queue.extend([sum(x * v[c] for c, x in srow) for srow in S] for S in sparse)
+
+    keep = [i for i in range(D) if i not in rows]
+    image = {k: {t: Fraction(1)} for t, k in enumerate(keep)}
+    for p, row in rows.items():
+        image[p] = {t: Fraction(-row[k], row[p]) for t, k in enumerate(keep) if row[k]}
+    out = []
+    for M in mats:
+        Q = [[Fraction(0)] * len(keep) for _ in keep]
+        for s, k in enumerate(keep):
+            for j in range(D):
+                x = M[j][k]
+                if x:
+                    for t, y in image[j].items():
+                        Q[t][s] += x * y
+        out.append(Q)
+    return out
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return v if g == 1 else [x // g for x in v]
 
 
 def _quotient_data(eqs, R):
@@ -324,21 +618,6 @@ def ordered_real_solutions(par: Parametrization | None) -> list[AlgebraicPoint]:
 def fiber_points(weights: Sequence[int], a: Sequence) -> list[AlgebraicPoint]:
     """Ordered real solutions of the weighted system over a."""
     return ordered_real_solutions(solve_weighted_system(weights, a))
-
-
-def verify_fiber_point(
-    pt: AlgebraicPoint, weights: Sequence[int], a: Sequence
-) -> bool:
-    """Exact check that the point solves the weighted system over a."""
-    root = pt.root()
-    for j, aj in enumerate(a, start=1):
-        num = UniPoly([])
-        for wk, ck in zip(weights, pt.coords):
-            num = num + (ck**j).scale(Fraction(wk))
-        num = num - (pt.q0**j).scale(Fraction(aj))
-        if sign_at(num, root) != 0:
-            return False
-    return True
 
 
 # -- canonical fiber point ---------------------------------------------------

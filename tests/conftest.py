@@ -78,3 +78,31 @@ def power_sum_within():
         )
 
     return within
+
+
+@pytest.fixture
+def coordinate_sign():
+    """coordinate_sign(pt, i, offset=0): sign of x_i - offset, exactly.
+
+    x_i - offset is (q_i - offset q0) / q0 at the point's root.
+    """
+
+    def sign(pt, i, offset=0):
+        root = pt.root()
+        num = pt.coords[i] - pt.q0.scale(Fraction(offset))
+        return sign_at(num, root) * sign_at(pt.q0, root)
+
+    return sign
+
+
+@pytest.fixture
+def solves_system():
+    """solves_system(pt, weights, a): the point solves
+    sum_k w_k z_k^j = a_j for j = 1..len(a), exactly."""
+
+    def solves(pt, weights, a):
+        return all(
+            _power_sum_sign(pt, weights, j, aj) == 0 for j, aj in enumerate(a, start=1)
+        )
+
+    return solves

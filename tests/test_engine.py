@@ -286,7 +286,7 @@ def test_box_clamp_alone_is_not_an_error():
     # clamped stand-in still locates, so the query is answered
     y = (-2, -2, F(-3, 2))
     eng = split3_fixture_engine()
-    assert eng._canonical(y)["clamped"]
+    assert eng._canonical(vandermonde_map(y, eng.sys.d))["clamped"]
     assert eng.symmetric(y, y).connected
 
 
@@ -452,6 +452,18 @@ def test_repeated_query_checks_each_point_once(calls):
     counts = Counter(point for _sys, point in checks)
     assert set(counts) == {tuple(map(F, x)), tuple(map(F, y))}
     assert max(counts.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "method,y",
+    [("canonical", (F(9, 10), 1, F(11, 10))), ("symmetric", (F(11, 10), 1, F(9, 10)))],
+)
+def test_power_sums_computed_once_per_point(calls, method, y):
+    # the check's power sums key the canonical memo, so the unsorted y of
+    # symmetric and its sorted copy share one entry and one computation
+    maps = calls(engine_module, "vandermonde_map")
+    assert getattr(Engine(split3()), method)((1, 1, 1), y).connected
+    assert len(maps) == 2
 
 
 def test_wall_failure_is_not_memoized_and_faces_are_located_in_order(monkeypatch):

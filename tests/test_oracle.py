@@ -253,6 +253,13 @@ def test_config_validation():
         OracleConfig(max_depth=-1)
 
 
+@pytest.mark.parametrize("depth", [1.5, 2.0, "2", True, None])
+def test_config_requires_an_int_depth(depth):
+    # a non-int depth used to pass and fail later in range(max_depth)
+    with pytest.raises(DomainError, match="max_depth must be an int"):
+        OracleConfig(max_depth=depth)
+
+
 def test_config_stores_exact_rationals():
     # an int, an integral float or a rational string converts exactly;
     # any other float, or anything that is no rational, is refused

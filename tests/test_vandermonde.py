@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -18,18 +22,19 @@ from symconn.realroots import (
     UniPoly,
     divmod_poly,
     find_root,
+    squarefree_part,
     thom_rooted,
 )
 from symconn.vandermonde import (
     CanonicalPoint,
     Parametrization,
     _krylov_min_poly,
+    _parametrize,
     _quotient_data,
     fiber_points,
     min_canonical,
     ordered_real_solutions,
     solve_weighted_system,
-    verify_fiber_point,
 )
 
 
@@ -50,13 +55,13 @@ def test_validation():
         solve_weighted_system((), ())
 
 
-def test_degree_one_exact():
+def test_degree_one_exact(coordinate_sign):
     pts = fiber_points((3,), (F(2),))
     assert len(pts) == 1
-    assert pts[0].exact_rational() == (F(2, 3),)
+    assert coordinate_sign(pts[0], 0, offset=F(2, 3)) == 0
 
 
-def test_pair_worked_example(power_sum_within):
+def test_pair_worked_example(power_sum_within, solves_system):
     # weights (1,2), a=(0,2): the ordered solution is (-2/sqrt3, 1/sqrt3)
     par = solve_weighted_system((1, 2), (0, 2))
     assert len(thom_rooted(par.q)) == 2  # both roots real
@@ -65,7 +70,7 @@ def test_pair_worked_example(power_sum_within):
     x = approx(pts[0])
     assert abs(x[0] + 2 / math.sqrt(3)) < 1e-9
     assert abs(x[1] - 1 / math.sqrt(3)) < 1e-9
-    assert verify_fiber_point(pts[0], (1, 2), (0, 2))
+    assert solves_system(pts[0], (1, 2), (0, 2))
     # p_3 = -8/(3 sqrt3) + 2/(3 sqrt3) = -2/sqrt3
     assert power_sum_within(pts[0], (1, 2), 3, -2 / math.sqrt(3), F(1, 10**12))
 
@@ -74,29 +79,29 @@ def test_pair_empty_fiber():
     assert fiber_points((1, 1), (0, -1)) == []
 
 
-def test_pair_tangent_double_root():
+def test_pair_tangent_double_root(coordinate_sign):
     # z1+z2=2, z1^2+z2^2=2 touches the ordering wall: single point (1,1)
     pts = fiber_points((1, 1), (2, 2))
     assert len(pts) == 1
-    assert pts[0].exact_rational() == (F(1), F(1))
+    assert [coordinate_sign(pts[0], i, offset=1) for i in range(2)] == [0, 0]
 
 
-def test_generic_roundtrip_fixed():
+def test_generic_roundtrip_fixed(coordinate_sign, solves_system):
     zstar = (F(-1), F(1, 2), F(2))
     w = (1, 2, 1)
     a = vandermonde_map(embed(composition(w), zstar), 3)
     pts = fiber_points(w, a)
     assert any(
-        all(p.coordinate_sign(i, offset=zstar[i]) == 0 for i in range(3))
+        all(coordinate_sign(p, i, offset=zstar[i]) == 0 for i in range(3))
         for p in pts
     )
     for p in pts:
-        assert verify_fiber_point(p, w, a)
+        assert solves_system(p, w, a)
         for i in range(2):
             assert p.coordinate_compare(i, i + 1) <= 0
 
 
-def test_generic_tangent_multiplicity():
+def test_generic_tangent_multiplicity(coordinate_sign):
     # z*=(1,1,2) makes the Jacobian singular; the squarefree pass must still
     # produce the solution exactly once
     w = (1, 1, 2)
@@ -106,14 +111,14 @@ def test_generic_tangent_multiplicity():
         p
         for p in pts
         if all(
-            p.coordinate_sign(i, offset=v) == 0
+            coordinate_sign(p, i, offset=v) == 0
             for i, v in enumerate((F(1), F(1), F(2)))
         )
     ]
     assert len(matches) == 1
 
 
-def test_unit_weights_recover_sorted_multiset():
+def test_unit_weights_recover_sorted_multiset(coordinate_sign):
     # with unit weights and d = n the power sums pin down the multiset, so
     # exactly one ordered solution exists: the sorted input
     rng = random.Random(23)
@@ -127,11 +132,11 @@ def test_unit_weights_recover_sorted_multiset():
         assert len(pts) == 1
         want = sorted(x)
         assert all(
-            pts[0].coordinate_sign(i, offset=want[i]) == 0 for i in range(n)
+            coordinate_sign(pts[0], i, offset=want[i]) == 0 for i in range(n)
         )
 
 
-def test_roundtrip_random_small_degrees():
+def test_roundtrip_random_small_degrees(coordinate_sign, solves_system):
     rng = random.Random(41)
     for _ in range(12):
         d = rng.randint(1, 2)
@@ -142,11 +147,11 @@ def test_roundtrip_random_small_degrees():
         a = vandermonde_map(embed(composition(w), vals), d)
         pts = fiber_points(w, a)
         assert any(
-            all(p.coordinate_sign(i, offset=vals[i]) == 0 for i in range(d))
+            all(coordinate_sign(p, i, offset=vals[i]) == 0 for i in range(d))
             for p in pts
         )
         for p in pts:
-            assert verify_fiber_point(p, w, a)
+            assert solves_system(p, w, a)
 
 
 def test_min_canonical_worked_example(power_sum_within):
@@ -163,7 +168,7 @@ def test_min_canonical_empty():
     assert min_canonical(3, 2, (0, -1)) is None
 
 
-def test_min_canonical_dominates_fiber_members(power_sum_sign):
+def test_min_canonical_dominates_fiber_members(power_sum_sign, solves_system):
     # for d <= 2 the extremal faces carry the true fiber minimizers, so the
     # result dominates every fiber member
     rng = random.Random(59)
@@ -174,12 +179,12 @@ def test_min_canonical_dominates_fiber_members(power_sum_sign):
         a = vandermonde_map(x, d)
         res = min_canonical(n, d, a)
         assert res is not None
-        assert verify_fiber_point(res.point, res.lam.parts, a)
+        assert solves_system(res.point, res.lam.parts, a)
         higher = vandermonde_map(x, d + 1)[d]
         assert power_sum_sign(res.point, res.lam.parts, d + 1, higher) <= 0
 
 
-def test_min_canonical_dominates_points_on_pattern_faces(power_sum_sign):
+def test_min_canonical_dominates_points_on_pattern_faces(power_sum_sign, solves_system):
     # a query point lying on an extremal face is itself a candidate, so the
     # returned value can never exceed its p_{d+1}
     rng = random.Random(61)
@@ -189,12 +194,14 @@ def test_min_canonical_dominates_points_on_pattern_faces(power_sum_sign):
         a = vandermonde_map(x, 3)
         res = min_canonical(4, 3, a)
         assert res is not None
-        assert verify_fiber_point(res.point, res.lam.parts, a)
+        assert solves_system(res.point, res.lam.parts, a)
         higher = vandermonde_map(x, 4)[3]
         assert power_sum_sign(res.point, res.lam.parts, 4, higher) <= 0
 
 
-def test_min_canonical_degenerate_fiber_stays_on_pattern_faces(power_sum_sign):
+def test_min_canonical_degenerate_fiber_stays_on_pattern_faces(
+    power_sum_sign, solves_system, coordinate_sign
+):
     # the fiber of (0,0,1,1) is an arc whose p_4-minimum sits at (0,0,1,1)
     # itself, off every extremal face; the canonical point is the arc's other
     # end ((1-s)/2, 1/2, 1/2, (1+s)/2) with s = sqrt(2), where p_4 = 9/4
@@ -203,13 +210,13 @@ def test_min_canonical_degenerate_fiber_stays_on_pattern_faces(power_sum_sign):
     res = min_canonical(4, 3, a)
     assert res is not None
     assert res.lam == composition((1, 2, 1))
-    assert verify_fiber_point(res.point, res.lam.parts, a)
+    assert solves_system(res.point, res.lam.parts, a)
     assert power_sum_sign(res.point, res.lam.parts, 4, F(9, 4)) == 0
     emb = res.point
-    assert emb.coordinate_sign(1, offset=F(1, 2)) == 0
+    assert coordinate_sign(emb, 1, offset=F(1, 2)) == 0
 
 
-def test_min_canonical_odd_degree_returns_family_extremum(power_sum_sign):
+def test_min_canonical_odd_degree_returns_family_extremum(power_sum_sign, solves_system):
     # odd d: the extremal faces hold the far end of the p_{d+1} range, so a
     # fiber member off those faces may have a smaller value than the result
     x = [F(0), F(1, 2), F(1), F(2)]
@@ -217,7 +224,7 @@ def test_min_canonical_odd_degree_returns_family_extremum(power_sum_sign):
     res = min_canonical(4, 3, a)
     assert res is not None
     assert res.lam == composition((1, 2, 1))
-    assert verify_fiber_point(res.point, res.lam.parts, a)
+    assert solves_system(res.point, res.lam.parts, a)
     higher = vandermonde_map(x, 4)[3]
     assert power_sum_sign(res.point, res.lam.parts, 4, higher) > 0
 
@@ -305,6 +312,31 @@ def test_min_canonical_stops_at_the_first_face_met(calls, x, solved):
     assert min_canonical(5, 4, vandermonde_map(x, 4)) is not None
     assert len(solves) == solved
 
+
+
+def test_one_unknown_solves_import_no_sympy():
+    # every d = 3 face and the d = 4 faces with three 1s leave J one
+    # unknown, so their fibers are solved without a Groebner basis
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from symconn.polynomials import vandermonde_map\n"
+        "from symconn.vandermonde import min_canonical\n"
+        "assert min_canonical(3, 3, vandermonde_map((-1, 1, 2), 3)) is not None\n"
+        f"x = {tuple(map(str, TWO_FACE_D4[0]))}\n"
+        "assert min_canonical(5, 4, vandermonde_map(map(Fraction, x), 4)) is not None\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 # -- reference: resultants by remainder sequences ------------------------------
 #
@@ -461,6 +493,79 @@ def test_quotient_data_rejects_degenerate_systems():
     assert _quotient_data([z1 - 1, z1 - 2, z2, z3], R) is None
     with pytest.raises(SolverError, match="infinitely many"):
         _quotient_data([z1 - z2, z3], R)
+
+
+# -- reference: the full-system solve ------------------------------------------
+#
+# The Groebner basis of all d equations, then a radical pass that adjoins
+# the squarefree parts of the coordinates' minimal polynomials and computes
+# the basis again.  The parametrization of the reduced algebra does not
+# depend on its basis, so the equal-weight solve must match it exactly.
+
+
+def ref_solve_generic(w, a):
+    """(parametrization, whether the radical pass ran) of the full system."""
+    R, eqs = weighted_equations(w, a)
+    data = _quotient_data(eqs, R)
+    if data is None:
+        return None, False
+    _, mats = data
+    extra = []
+    for M, z in zip(mats, R.gens):
+        f = _krylov_min_poly(M)
+        sf = squarefree_part(f)
+        if sf.degree < f.degree:
+            extra.append(sum(c * z**k for k, c in enumerate(sf.coeffs)))
+    if extra:
+        _, mats = _quotient_data(eqs + extra, R)
+    return _parametrize(mats), bool(extra)
+
+
+def with_repeats(rng, n, lo=-3, hi=3):
+    x = [F(rng.randint(lo, hi), rng.randint(1, 2)) for _ in range(n)]
+    for _ in range(rng.randint(0, n // 2 + 1)):
+        x[rng.randrange(n)] = x[rng.randrange(n)]
+    return sorted(x)
+
+
+def differential_cases():
+    """(weights, a) for the equal-weight solve against the reference."""
+    rng = random.Random(131)
+    cases = []
+    # d = 3 with weights 1..3: all-distinct weights leave two unknowns
+    for w in [(1, 2, 3), (3, 1, 2), (2, 3, 1)] + [
+        tuple(rng.randint(1, 3) for _ in range(3)) for _ in range(57)
+    ]:
+        z = with_repeats(rng, 3)
+        cases.append((w, vandermonde_map(embed(composition(w), z), 3)))
+    # extremal faces at n = 3..6 over fibers of points with repeats; a d = 4
+    # solve takes up to a second in the reference, so there are few of them
+    for n in [3, 4, 5, 6] * 22:
+        cases.append(((1, n - 2, 1), vandermonde_map(with_repeats(rng, n), 3)))
+    for n in (4, 6):
+        lam = extremal_compositions(n, 4)[0]
+        cases.append((lam.parts, vandermonde_map(with_repeats(rng, n), 4)))
+    cases += [(lam.parts, vandermonde_map(TWO_FACE_D4[0], 4))
+              for lam in extremal_compositions(5, 4)]
+    cases.append(BALL_D4)
+    cases.append(((1, 2, 1, 2), vandermonde_map((F(-1), 0, 0, F(1, 2), 1, 1), 4)))
+    return cases
+
+
+def test_equal_weight_solve_matches_the_full_system(calls):
+    cases = differential_cases()
+    assert len(cases) >= 150
+    assert {(1, 2, 1, 2), (1, 1, 1, 2), (1, 2, 1, 1)} <= {tuple(w) for w, _ in cases}
+    radicals = calls(vandermonde_module, "_quotient_by_ideal")
+    two_unknowns = calls(vandermonde_module, "_quotient_data")
+    ref_radicals = 0
+    for w, a in cases:
+        want, radical = ref_solve_generic(w, a)
+        assert solve_weighted_system(w, a) == want, (w, a)
+        ref_radicals += radical
+    assert len(radicals) == ref_radicals > 0
+    assert two_unknowns
+
 
 
 # -- reference: Krylov elimination over Fraction --------------------------------
