@@ -52,7 +52,7 @@ from .compositions import (
     sorting_transpositions,
 )
 from .errors import LocateFailure, PreconditionError, SolverError
-from .oracle import OracleConfig, face_region, sample_components
+from .oracle import OracleConfig, _exact, face_region, sample_components
 from .polynomials import FaceSystem, SymmetricSystem, restrict, vandermonde_map
 from .uniongraph import UnionGraph, build_union_graph, locate_vertex
 from .vandermonde import min_canonical
@@ -184,7 +184,7 @@ class Engine:
 
     def _check_point(self, x: Sequence, name: str, sorted_required=True):
         """(point as Fractions, its first d power sums) for a feasible point."""
-        xs = tuple(Fraction(v) for v in x)
+        xs = tuple(_exact(v, name) for v in x)
         if len(xs) != self.sys.n:
             raise PreconditionError(
                 f"{name} has {len(xs)} coordinates, need {self.sys.n}"
@@ -338,6 +338,8 @@ class Engine:
         (wall, component) pair; the verdict for (x, i) is kept as well.
         """
         xs, px = self._check_point(x, "x")
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise PreconditionError(f"wall index must be an int, got {i!r}")
         if not 1 <= i <= self.sys.n - 1:
             raise PreconditionError(f"wall index {i} outside 1..{self.sys.n - 1}")
         key = (xs, i)

@@ -19,13 +19,15 @@ sparse polynomial ring; a border monomial that leads a basis element takes
 its normal form from that element, and the others are reduced by sympy.
 That is the only use of sympy.  The algebra is then divided by its
 nilradical, the ideal of the coordinates' squarefree minimal polynomials
-(Seidenberg), and a separating linear form and trace formulas give the
-parametrization.
+(Seidenberg).  A separating linear form mu then has a minimal polynomial q
+of degree D = dim A, its Krylov basis 1, mu, ..., mu^(D-1) spans the algebra,
+and each coordinate's expansion in that basis gives the parametrization.
 
 The matrices hold `Fraction`s, but the linear algebra on them clears
-denominators once and runs over Python ints: minimal polynomials come from
-fraction-free (Bareiss) elimination of the integer Krylov iterates, and the
-traces of the separating matrix's powers from integer matrix products.
+denominators once and runs over Python ints: one fraction-free (Bareiss)
+elimination of a matrix's integer Krylov iterates gives its minimal
+polynomial, polynomials in it applied to 1, and vectors' expansions in the
+iterates.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import DomainError, SolverError
 from .realroots import (
     AlgebraicPoint,
     UniPoly,
+    divmod_poly,
     poly_gcd,
     sign_at,
     squarefree_part,
@@ -109,10 +112,10 @@ def _solve_generic(w, rhs) -> Parametrization | None:
     # (Seidenberg) and the quotient is reduced
     nilpotent = []
     for M in mats:
-        f = _krylov_min_poly(M)
-        sf = squarefree_part(f)
-        if sf.degree < f.degree:
-            nilpotent.append(_poly_at_one(sf, M))
+        kry = _Krylov(M)
+        sf = squarefree_part(kry.min_poly)
+        if sf.degree < kry.min_poly.degree:
+            nilpotent.append(kry.at_one(sf))
     if nilpotent:
         mats = _quotient_by_ideal(mats, nilpotent)
     return _parametrize(mats)
@@ -122,44 +125,26 @@ def _parametrize(mats) -> Parametrization:
     """Rational parametrization of a reduced algebra's points.
 
     mats are the coordinates' multiplication matrices, basis element 0 is
-    1.  The result depends on the algebra alone, not on its basis.
+    1.  The result depends on the algebra alone, not on its basis.  A
+    separating mu makes A = Q[mu]/(q), so z_i = g_i(mu) for the g_i with
+    z_i * 1 = g_i(mu) * 1, and z_i = q_i / q' at the roots of q with
+    q_i = g_i q' mod q.
     """
     d = len(mats)
     D = len(mats[0])
-    q = None
     for cand in _separating_candidates(d, D):
-        mu = _mat_combine(mats, cand, D)
-        f = _krylov_min_poly(mu)
-        if f.degree == D:
-            q = f
+        kry = _Krylov(_mat_combine(mats, cand, D))
+        if kry.min_poly.degree == D:
             break
-    if q is None:
+    else:
         raise SolverError("no separating linear form found")
-    if poly_gcd(q, q.derivative()).degree > 0:
+    q = kry.min_poly
+    q0 = q.derivative()
+    if poly_gcd(q, q0).degree > 0:
         raise SolverError("separating form produced a non-squarefree eliminant")
-
-    # traces against powers of the separating matrix, over the integers:
-    # mu = N / L and M_i = N_i / L_i, so Tr(mu^k) = Tr(N^k) / L^k and
-    # Tr(M_i mu^k) = Tr(N_i N^k) / (L_i L^k)
-    N, L = _integer_matrix(mu)
-    ints = [_integer_matrix(M) for M in mats]
-    t_one, t_var = [], [[] for _ in range(d)]
-    P = [[int(r == c) for c in range(D)] for r in range(D)]
-    Nt = list(zip(*N))
-    for k in range(D):
-        scale = L**k
-        t_one.append(Fraction(sum(P[r][r] for r in range(D)), scale))
-        Pt = list(zip(*P))
-        for (Ni, Li), out in zip(ints, t_var):
-            tr = sum(sum(a * b for a, b in zip(row, col)) for row, col in zip(Ni, Pt))
-            out.append(Fraction(tr, Li * scale))
-        if k + 1 < D:
-            P = [[sum(a * b for a, b in zip(row, col)) for col in Nt] for row in P]
-
-    q0 = _trace_poly(q, t_one)
-    if q0 != q.derivative():
-        raise SolverError("trace identity failed; solver state is inconsistent")
-    coords = tuple(_trace_poly(q, t_var[i]) for i in range(d))
+    coords = tuple(
+        divmod_poly(kry.express([row[0] for row in M]) * q0, q)[1] for M in mats
+    )
     return Parametrization(q=q, q0=q0, coords=coords)
 
 
@@ -381,16 +366,6 @@ def _cauchy_reduce(poly: dict, m, ME, steps) -> dict:
     return out
 
 
-def _poly_at_one(f: UniPoly, M):
-    """f(z) for z with matrix M, as a vector: f(M) applied to element 1."""
-    D = len(M)
-    v = [Fraction(0)] * D
-    for c in reversed(f.coeffs):
-        v = _mat_vec(M, v)
-        v[0] += c
-    return v
-
-
 def _quotient_by_ideal(mats, gens):
     """Multiplication matrices on A / (gens), gens given as vectors of A.
 
@@ -521,17 +496,8 @@ def _separating_candidates(nvars, D):
 
 
 def _mat_combine(mats, coeffs, D):
-    out = [[Fraction(0)] * D for _ in range(D)]
-    for M, c in zip(mats, coeffs):
-        if c == 0:
-            continue
-        c = Fraction(c)
-        for r in range(D):
-            row = M[r]
-            orow = out[r]
-            for k in range(D):
-                orow[k] += c * row[k]
-    return out
+    terms = [(c, M) for c, M in zip(coeffs, mats) if c]
+    return [[sum(c * M[r][k] for c, M in terms) for k in range(D)] for r in range(D)]
 
 
 def _integer_matrix(M) -> tuple[list[list[int]], int]:
@@ -540,48 +506,71 @@ def _integer_matrix(M) -> tuple[list[list[int]], int]:
     return [[x.numerator * (L // x.denominator) for x in row] for row in M], L
 
 
-def _krylov_min_poly(M) -> UniPoly:
-    """Monic minimal polynomial of M acting on the quotient, via the
-    iterates of the basis element 1 (index 0).
+class _Krylov:
+    """The Krylov basis of the algebra's element 1 under M.
 
     Runs over the integer iterates u_k = N^k e_0 of N = L M.  Each iterate,
     with the unit vector e_k appended to record its combination, is reduced
     against the earlier ones by fraction-free (Bareiss) steps, so every
     division is exact.  The first that reduces to zero gives
-    sum_i c_i u_i = 0, and M's monic relation has coefficients
-    c_i / (c_k L^(k-i)).
+    sum_i c_i u_i = 0, and M's monic minimal polynomial has coefficients
+    c_i / (c_k L^(k-i)).  The iterates and the reduced rows are kept for
+    `at_one` and `express`.
     """
-    D = len(M)
-    N, L = _integer_matrix(M)
-    u = [1] + [0] * (D - 1)
-    rows = []  # (pivot column, reduced row: iterate part, then combination)
-    for k in range(D + 1):
-        row = u + [0] * (D + 1)
+
+    def __init__(self, M):
+        D = len(M)
+        N, L = _integer_matrix(M)
+        self.L, self.iterates = L, []
+        self.rows = []  # (pivot column, reduced row: vector, then combination)
+        u = [1] + [0] * (D - 1)
+        for k in range(D + 1):
+            self.iterates.append(u)
+            row = self._reduce(u, k)
+            col = next((i for i in range(D) if row[i]), None)
+            if col is None:
+                c = row[D:D + k + 1]
+                self.min_poly = UniPoly(
+                    [Fraction(ci, c[k] * L ** (k - i)) for i, ci in enumerate(c)]
+                )
+                return
+            self.rows.append((col, row))
+            u = [sum(a * b for a, b in zip(nrow, u)) for nrow in N]
+        raise SolverError("minimal polynomial search did not terminate")
+
+    def _reduce(self, v, k):
+        """The integer vector v, marked as combination slot k, reduced."""
+        D = len(v)
+        row = v + [0] * (D + 1)
         row[D + k] = 1
         prev = 1
-        for col, prow in rows:
+        for col, prow in self.rows:
             p, f = prow[col], row[col]
             row = [(p * x - f * y) // prev for x, y in zip(row, prow)]
             prev = p
-        col = next((i for i in range(D) if row[i]), None)
-        if col is None:
-            c = row[D:D + k + 1]
-            return UniPoly([Fraction(ci, c[k] * L ** (k - i)) for i, ci in enumerate(c)])
-        rows.append((col, row))
-        u = [sum(a * b for a, b in zip(nrow, u)) for nrow in N]
-    raise SolverError("minimal polynomial search did not terminate")
+        return row
 
+    def at_one(self, f: UniPoly):
+        """f(M) applied to element 1: sum_k f_k u_k / L^k."""
+        L, us = self.L, self.iterates
+        terms = [(c / L**k, us[k]) for k, c in enumerate(f.coeffs) if c]
+        return [sum(c * u[r] for c, u in terms) for r in range(len(us[0]))]
 
-def _trace_poly(q: UniPoly, traces) -> UniPoly:
-    # coefficient of T^j is sum_{k>j} c_k * traces[k-j-1]
-    c = q.coeffs
-    D = q.degree
-    out = []
-    for j in range(D):
-        out.append(
-            sum((c[k] * traces[k - j - 1] for k in range(j + 1, D + 1)), Fraction(0))
+    def express(self, v) -> UniPoly:
+        """g with g(M) applied to element 1 equal to the vector v = n / Lv.
+
+        n reduced in the free slot D gives s n + sum_k c_k u_k = 0, so
+        g_k = -c_k L^k / (s Lv); a remainder means v is outside the span.
+        """
+        D = len(v)
+        (n,), Lv = _integer_matrix([v])
+        row = self._reduce(n, D)
+        if any(row[:D]):
+            raise SolverError("vector lies outside the Krylov basis's span")
+        s = row[2 * D] * Lv
+        return UniPoly(
+            [Fraction(-c * self.L**k, s) for k, c in enumerate(row[D:2 * D])]
         )
-    return UniPoly(out)
 
 
 # -- solution handling -------------------------------------------------------

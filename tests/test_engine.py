@@ -11,7 +11,7 @@ import pytest
 import symconn.engine as engine_module
 from symconn.compositions import composition, merge_at_wall
 from symconn.engine import Engine, get_engine
-from symconn.errors import LocateFailure, PreconditionError
+from symconn.errors import DomainError, LocateFailure, PreconditionError
 from symconn.oracle import OracleConfig, face_region, sample_components
 from symconn.polynomials import (
     Constraint,
@@ -161,6 +161,26 @@ def test_wall_trial_vertex_holds_its_representative(make, x, cfg):
 def test_wall_index_out_of_range():
     with pytest.raises(PreconditionError, match="wall index"):
         Engine(ball3()).wall((0, 0, 0), 3)
+
+
+@pytest.mark.parametrize("i", [1.5, 1.0, True, "1"])
+def test_wall_index_must_be_an_int(i):
+    eng = Engine(ball3())
+    x = (F(-1, 4), 0, F(1, 4))
+    with pytest.raises(PreconditionError, match="must be an int"):
+        eng.wall(x, i)
+    # a rejected index leaves nothing behind for the int query
+    assert eng.wall(x, 1).certificate["wall"] == 1
+
+
+def test_float_coordinates_rejected():
+    eng = Engine(ball3())
+    with pytest.raises(DomainError, match="must be exact"):
+        eng.symmetric((0.1, 0.2, 0.3), (0.3, 0.1, 0.2))
+    with pytest.raises(DomainError, match="must be exact"):
+        eng.wall((F(-1, 4), 0, 0.25), 1)
+    # integral floats are exact, as in problem files and OracleConfig
+    assert eng.canonical((-1.0, 0.0, 0.0), (-1, 0, 0)).certificate["x"] == ["-1", "0", "0"]
 
 
 def test_wall_verdict_memoized():

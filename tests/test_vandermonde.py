@@ -22,15 +22,18 @@ from symconn.realroots import (
     UniPoly,
     divmod_poly,
     find_root,
+    poly_gcd,
     squarefree_part,
     thom_rooted,
 )
 from symconn.vandermonde import (
     CanonicalPoint,
     Parametrization,
-    _krylov_min_poly,
-    _parametrize,
+    _integer_matrix,
+    _Krylov,
+    _mat_combine,
     _quotient_data,
+    _separating_candidates,
     fiber_points,
     min_canonical,
     ordered_real_solutions,
@@ -427,6 +430,9 @@ def mat_mul(A, B):
 
 QUOTIENT_CASES = random_weighted_systems(71) + [BALL_D4]
 
+# a d = 5 fiber whose reduced algebra has dimension 36
+D5_D36 = ((1, 1, 1, 2, 1), vandermonde_map((F(-1, 2), 0, 0, 0, 0, F(1, 2)), 5))
+
 
 def weighted_equations(w, a):
     """The ring and the equations sum_k w_k z_k^j = a_j, j = 1..d."""
@@ -501,6 +507,41 @@ def test_quotient_data_rejects_degenerate_systems():
 # the squarefree parts of the coordinates' minimal polynomials and computes
 # the basis again.  The parametrization of the reduced algebra does not
 # depend on its basis, so the equal-weight solve must match it exactly.
+# The reference parametrizes by trace formulas: with mu separating and q
+# its minimal polynomial, q_i(T) = sum_j T^j sum_(k>j) c_k Tr(M_i mu^(k-j-1)).
+
+
+def ref_parametrize(mats) -> Parametrization:
+    """Rational parametrization from traces of the separating matrix's powers."""
+    d, D = len(mats), len(mats[0])
+    for cand in _separating_candidates(d, D):
+        mu = _mat_combine(mats, cand, D)
+        q = _Krylov(mu).min_poly
+        if q.degree == D:
+            break
+    assert poly_gcd(q, q.derivative()).degree == 0
+
+    # mu = N / L and M_i = N_i / L_i, so Tr(mu^k) = Tr(N^k) / L^k and
+    # Tr(M_i mu^k) = Tr(N_i N^k) / (L_i L^k)
+    N, L = _integer_matrix(mu)
+    ints = [_integer_matrix(M) for M in mats]
+    t_one, t_var = [], [[] for _ in range(d)]
+    P = [[int(r == c) for c in range(D)] for r in range(D)]
+    for k in range(D):
+        t_one.append(F(sum(P[r][r] for r in range(D)), L**k))
+        for (Ni, Li), out in zip(ints, t_var):
+            out.append(F(sum(Ni[r][c] * P[c][r] for r in range(D) for c in range(D)), Li * L**k))
+        P = mat_mul(P, N)
+
+    def trace_poly(traces):
+        c = q.coeffs
+        return UniPoly(
+            [sum((c[k] * traces[k - j - 1] for k in range(j + 1, D + 1)), F(0)) for j in range(D)]
+        )
+
+    q0 = trace_poly(t_one)
+    assert q0 == q.derivative()
+    return Parametrization(q=q, q0=q0, coords=tuple(trace_poly(t) for t in t_var))
 
 
 def ref_solve_generic(w, a):
@@ -512,13 +553,13 @@ def ref_solve_generic(w, a):
     _, mats = data
     extra = []
     for M, z in zip(mats, R.gens):
-        f = _krylov_min_poly(M)
+        f = _Krylov(M).min_poly
         sf = squarefree_part(f)
         if sf.degree < f.degree:
             extra.append(sum(c * z**k for k, c in enumerate(sf.coeffs)))
     if extra:
         _, mats = _quotient_data(eqs + extra, R)
-    return _parametrize(mats), bool(extra)
+    return ref_parametrize(mats), bool(extra)
 
 
 def with_repeats(rng, n, lo=-3, hi=3):
@@ -549,21 +590,26 @@ def differential_cases():
               for lam in extremal_compositions(5, 4)]
     cases.append(BALL_D4)
     cases.append(((1, 2, 1, 2), vandermonde_map((F(-1), 0, 0, F(1, 2), 1, 1), 4)))
+    cases.append(D5_D36)
     return cases
 
 
 def test_equal_weight_solve_matches_the_full_system(calls):
     cases = differential_cases()
     assert len(cases) >= 150
-    assert {(1, 2, 1, 2), (1, 1, 1, 2), (1, 2, 1, 1)} <= {tuple(w) for w, _ in cases}
+    assert {(1, 2, 1, 2), (1, 1, 1, 2), (1, 2, 1, 1), (1, 1, 1, 2, 1)} <= {
+        tuple(w) for w, _ in cases
+    }
     radicals = calls(vandermonde_module, "_quotient_by_ideal")
     two_unknowns = calls(vandermonde_module, "_quotient_data")
-    ref_radicals = 0
+    ref_radicals = top = 0
     for w, a in cases:
         want, radical = ref_solve_generic(w, a)
         assert solve_weighted_system(w, a) == want, (w, a)
         ref_radicals += radical
+        top = max(top, want.q.degree)
     assert len(radicals) == ref_radicals > 0
+    assert top == 36
     assert two_unknowns
 
 
@@ -609,21 +655,68 @@ def test_krylov_min_poly_matches_fraction_reference():
             e = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(D)]
             B = S * sympy.diag(*[sympy.Rational(x) for x in e]) * S.inv()
             M = [[Fraction(str(B[r, c])) for c in range(D)] for r in range(D)]
-            f = _krylov_min_poly(M)
+            f = _Krylov(M).min_poly
             assert f == ref_krylov_min_poly(M)
             assert f.degree <= len(set(e))
             low += f.degree < D
             M = rational_matrix(rng, D)
-            assert _krylov_min_poly(M) == ref_krylov_min_poly(M)
+            assert _Krylov(M).min_poly == ref_krylov_min_poly(M)
     assert low >= 12
     # e_0 in an invariant subspace: the relation comes early
     M = [[F(1, 2), F(0), F(3)], [F(0), F(-1), F(1)], [F(0), F(0), F(2)]]
-    assert _krylov_min_poly(M) == UniPoly([F(-1, 2), 1])
+    assert _Krylov(M).min_poly == UniPoly([F(-1, 2), 1])
     for w, a in QUOTIENT_CASES:
         R, eqs = weighted_equations(w, a)
         _, mats = _quotient_data(eqs, R)
         for M in mats:
-            assert _krylov_min_poly(M) == ref_krylov_min_poly(M)
+            assert _Krylov(M).min_poly == ref_krylov_min_poly(M)
+
+
+def ref_at_one(f, M):
+    """f(M) applied to element 1, by Horner's rule over Fraction."""
+    v = [F(0)] * len(M)
+    for c in reversed(f.coeffs):
+        v = [sum(row[i] * v[i] for i in range(len(M))) for row in M]
+        v[0] += c
+    return v
+
+
+def test_krylov_at_one_matches_horner():
+    rng = random.Random(97)
+    mats = [rational_matrix(rng, D) for D in (1, 2, 3, 5, 6) for _ in range(3)]
+    for w, a in QUOTIENT_CASES:
+        R, eqs = weighted_equations(w, a)
+        mats += _quotient_data(eqs, R)[1]
+    for M in mats:
+        kry = _Krylov(M)
+        for deg in range(kry.min_poly.degree + 1):
+            f = UniPoly([F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(deg + 1)])
+            assert kry.at_one(f) == ref_at_one(f, M)
+        assert not any(kry.at_one(kry.min_poly))
+
+
+def test_krylov_express_inverts_at_one():
+    rng = random.Random(103)
+    full = [rational_matrix(rng, D) for D in (1, 2, 3, 4, 6) for _ in range(3)]
+    for w, a in QUOTIENT_CASES:
+        R, eqs = weighted_equations(w, a)
+        mats = _quotient_data(eqs, R)[1]
+        D = len(mats[0])
+        full += mats + [_mat_combine(mats, (1, 2, 4, 8)[: len(w)], D)]
+    full = [M for M in full if _Krylov(M).min_poly.degree == len(M)]
+    assert len(full) >= 20
+    for M in full:
+        kry = _Krylov(M)
+        for _ in range(3):
+            v = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in M]
+            g = kry.express(v)
+            assert g.degree < len(M)
+            assert ref_at_one(g, M) == v
+    # e_0 in an invariant subspace: e_2 lies outside the iterates' span
+    M = [[F(1, 2), F(0), F(3)], [F(0), F(-1), F(1)], [F(0), F(0), F(2)]]
+    assert _Krylov(M).express([F(1, 3), 0, 0]) == UniPoly([F(1, 3)])
+    with pytest.raises(SolverError, match="span"):
+        _Krylov(M).express([F(0), F(0), F(1)])
 
 
 # -- roots are resolved once ---------------------------------------------------
