@@ -54,6 +54,7 @@ from .compositions import (
 from .errors import LocateFailure, PreconditionError, SolverError
 from .oracle import OracleConfig, _exact, face_region, sample_components
 from .polynomials import FaceSystem, SymmetricSystem, restrict, vandermonde_map
+from .realroots import dyadic_floor
 from .uniongraph import UnionGraph, build_union_graph, locate_vertex
 from .vandermonde import min_canonical
 
@@ -112,35 +113,38 @@ def _vertex_json(g: UnionGraph, idx: int) -> dict:
 
 
 def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...], list]:
-    """Rational stand-in for an algebraic point.
+    """Dyadic stand-in for an algebraic point.
 
     One rational per run of equal coordinates, so block-constancy checks
-    downstream see exact equality; runs are separated finely enough to
-    keep their strict order.  Each run value is clamped into the box, so
-    a point sitting exactly on the boundary cannot drift outside by
-    rounding.  A clamp that moves a run value by more than its
-    approximation width means the point itself leaves the box; each such
-    run is reported as (first coordinate, approximate value, box bound).
+    downstream see exact equality: the run's value x rounded down on the
+    2^-m grid, c = floor(x 2^m) / 2^m, decided exactly.  m starts at 30 and
+    grows by 8 until the runs' values strictly increase.  So the stand-in
+    depends only on the point, not on the parametrization or the enclosure
+    that gave it.  Each run value is clamped into the box, so a point
+    sitting exactly on the boundary cannot drift outside by rounding.  As
+    c <= x < c + 2^-m, a clamp that moves a run value by more than 2^-m
+    means the point itself leaves the box; each such run is reported as
+    (first coordinate, stand-in value, box bound).
     """
     runs = emb.multiplicity_runs()
     starts, pos = [], 0
     for r in runs:
         starts.append(pos)
         pos += r
-    eps = Fraction(1, 2**30)
-    for _ in range(40):
-        vals = emb.approx(eps)
-        reps = [vals[s] for s in starts]
-        if all(reps[k] < reps[k + 1] for k in range(len(reps) - 1)):
+    root = emb.root()
+    m = 30
+    while True:
+        ks = [dyadic_floor(emb.coords[s], emb.q0, root, m) for s in starts]
+        if all(k < k2 for k, k2 in zip(ks, ks[1:])):
             break
-        eps /= 2**8
-    else:
-        raise SolverError("could not separate distinct coordinate values numerically")
+        m += 8
+    eps = Fraction(1, 1 << m)
     lo, hi = box
     out: list[Fraction] = []
     clamped = []
     pos = 0
-    for r, v in zip(runs, reps):
+    for r, k in zip(runs, ks):
+        v = Fraction(k, 1 << m)
         a = max(lo[pos : pos + r])
         b = min(hi[pos : pos + r])
         c = min(max(v, a), b)

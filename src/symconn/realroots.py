@@ -9,7 +9,12 @@ polynomials q_i with x_i = q_i(root) / q_0(root).
 All arithmetic is exact.  Coefficients are stored as `fractions.Fraction`,
 but the hot kernels (products, division with remainder, sign and interval
 evaluation) clear denominators once and run over Python ints, building one
-`Fraction` per output value.  Greatest common divisors first test
+`Fraction` per output value.  A root's enclosure is [a/s, c/s] over ints
+too: isolation's Sturm evaluations, bisection, endpoint signs and interval
+Horner never build a `Fraction`.  A sign at a root is decided by interval
+Horner over the enclosure first; the gcd that detects a zero is computed
+only when that cannot decide.  `dyadic_floor` rounds a value at a root
+down onto the 2^-m grid, exactly.  Greatest common divisors first test
 coprimality modulo the prime 2^61 - 1 and fall back to Euclid over Q.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd, lcm
 from typing import Sequence
 
@@ -157,41 +163,38 @@ class UniPoly:
     def sign_at(self, x) -> Sign:
         """Sign of the value at a rational point, integer arithmetic only."""
         x = Fraction(x)
-        ints, _ = self._integer_form()
-        if not ints:
-            return 0
-        a, b = x.numerator, x.denominator
-        acc = 0
-        bp = 1
-        for c in reversed(ints):
-            acc = acc * a + c * bp
-            bp *= b
-        return _sign(acc)
+        return _horner_sign(self._integer_form()[0], x.numerator, x.denominator)
 
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosure of the value over [lo, hi] by interval Horner.
 
-        Runs over integers: with b the common denominator of lo and hi, the
-        accumulator after t steps is kept multiplied by den * b^t.  That
-        positive scale keeps every min/max choice of rational interval
-        Horner, so the enclosure is the same; it is divided out once.
-        """
-        ints, den = self._integer_form()
-        if not ints:
-            return Fraction(0), Fraction(0)
-        b = lcm(lo.denominator, hi.denominator)
-        x0 = lo.numerator * (b // lo.denominator)
-        x1 = hi.numerator * (b // hi.denominator)
-        alo = ahi = 0
-        bp = 1
-        for c in reversed(ints):
-            p00, p01, p10, p11 = alo * x0, alo * x1, ahi * x0, ahi * x1
-            cb = c * bp
-            alo = min(p00, p01, p10, p11) + cb
-            ahi = max(p00, p01, p10, p11) + cb
-            bp *= b
-        scale = den * (bp // b)
-        return Fraction(alo, scale), Fraction(ahi, scale)
+def _horner_sign(ints, x: int, s: int) -> Sign:
+    """Sign of the integer polynomial `ints` at x/s, s > 0.
+
+    Horner over integers: the value is kept multiplied by s^deg > 0.
+    """
+    acc = 0
+    sp = 1
+    for c in reversed(ints):
+        acc = acc * x + c * sp
+        sp *= s
+    return _sign(acc)
+
+
+def _horner_interval(ints, x0: int, x1: int, s: int) -> tuple[int, int]:
+    """Interval Horner enclosure of `ints` over [x0/s, x1/s], times s^deg.
+
+    After t steps the accumulator is kept multiplied by s^t.  That positive
+    scale keeps every min/max choice of rational interval Horner, so the
+    enclosure is the same one, scaled.
+    """
+    alo = ahi = 0
+    sp = 1
+    for c in reversed(ints):
+        p00, p01, p10, p11 = alo * x0, alo * x1, ahi * x0, ahi * x1
+        cs = c * sp
+        alo = min(p00, p01, p10, p11) + cs
+        ahi = max(p00, p01, p10, p11) + cs
+        sp *= s
+    return alo, ahi
 
 
 def _as_poly(v) -> UniPoly:
@@ -200,33 +203,33 @@ def _as_poly(v) -> UniPoly:
     return UniPoly.constant(v)
 
 
-def interval_div(alo, ahi, blo, bhi):
-    """[alo,ahi] / [blo,bhi]; the divisor interval must exclude zero."""
-    if blo <= 0 <= bhi:
-        raise DomainError("division by an interval containing zero")
-    vals = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
-    return min(vals), max(vals)
-
-
 def divmod_poly(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Quotient and remainder over Q, by division over the integer forms.
-
-    With f = F / df and g = G / dg, F is divided by G keeping the running
-    remainder as R / s, R an integer vector and s > 0.  Each step scales R
-    by the part of lead(G) that the top coefficient does not share, so
-    every step stays in integers.
-    """
+    """Quotient and remainder over Q, by division over the integer forms."""
     if g.is_zero():
         raise DomainError("polynomial division by zero")
     F, df = f._integer_form()
     G, dg = g._integer_form()
-    m = len(G) - 1
-    if len(F) <= m:
+    if len(F) < len(G):
         return UniPoly([]), f
+    quo, R, s = _int_divmod(F, G)
+    q = [Fraction(b * dg, t * df) for b, t in reversed(quo)]
+    return UniPoly(q), UniPoly([Fraction(x, s * df) for x in R])
+
+
+def _int_divmod(F, G) -> tuple[list, list, int]:
+    """Division of the integer vector F by G, len(F) >= len(G).
+
+    The running remainder is kept as R / s, R an integer vector and s > 0.
+    Each step scales R by the part of lead(G) that the top coefficient does
+    not share, so every step stays in integers.  Returns the quotient
+    coefficients as (numerator, scale) pairs, top first, and the final R
+    (len(G) - 1 entries) and s.
+    """
+    m = len(G) - 1
     lead = G[-1]
     R = list(F)
     s = 1
-    quo = []  # (numerator, scale) of each quotient coefficient, top first
+    quo = []
     for k in range(len(R) - 1, m - 1, -1):
         c = R[k]
         if not c:
@@ -243,8 +246,7 @@ def divmod_poly(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
         for j in range(m):
             R[base + j] -= b * G[j]
         quo.append((b, s))
-    q = [Fraction(b * dg, t * df) for b, t in reversed(quo)]
-    return UniPoly(q), UniPoly([Fraction(x, s * df) for x in R[:m]])
+    return quo, R[:m], s
 
 
 _GCD_PRIME = 2**61 - 1
@@ -282,14 +284,24 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor.
 
     Most calls meet coprime pairs, which the test modulo a prime settles
-    without rational arithmetic; every other pair runs Euclid over Q.
+    without rational arithmetic.  Every other pair runs Euclid on the
+    integer forms, each remainder divided by the gcd of its coefficients
+    (the primitive remainder sequence), so coefficients stay small.
     """
     if _coprime_mod_prime(f, g):
         return UniPoly.constant(1)
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, divmod_poly(a, b)[1]
-    return a.monic() if not a.is_zero() else a
+    a, b = _primitive(f._integer_form()[0]), _primitive(g._integer_form()[0])
+    while b:
+        r = _int_divmod(a, b)[1] if len(a) >= len(b) else a
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, _primitive(r)
+    return UniPoly(a).monic()
+
+
+def _primitive(v) -> list[int]:
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -316,10 +328,6 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
 def _variations(signs) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-
-
-def _variations_at(chain, x) -> int:
-    return _variations([q.sign_at(x) for q in chain])
 
 
 def _variations_at_inf(chain, direction: int) -> int:
@@ -356,111 +364,159 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
 
     Rational roots hit by a bisection point come back as degenerate
     intervals [r, r]; every other interval (a, b) has p(a) != 0, p(b) != 0
-    and contains exactly one root.
+    and contains exactly one root.  Intervals are [a/s, b/s] over integers
+    while the Sturm sequence is evaluated; each endpoint becomes a
+    `Fraction` once, on output.
     """
     sf = squarefree_part(p)
     if sf.degree < 1:
         return []
-    chain = sturm_chain(sf)
-    bound = root_bound(sf)
+    ints = sf._integer_form()[0]
+    chain = [q._integer_form()[0] for q in sturm_chain(sf)]
     out: list[tuple[Fraction, Fraction]] = []
 
-    def rec(a: Fraction, b: Fraction, va: int, vb: int):
+    def var(x, s):
+        return _variations([_horner_sign(q, x, s) for q in chain])
+
+    def rec(a, b, s, va, vb):
         count = va - vb
         if count == 0:
             return
         if count == 1:
-            out.append((a, b))
+            out.append((Fraction(a, s), Fraction(b, s)))
             return
-        mid = (a + b) / 2
-        if sf.sign_at(mid) == 0:
-            h = (b - a) / 4
+        mid = a + b  # over 2s
+        if _horner_sign(ints, mid, 2 * s) == 0:
+            # over S = 4s the root is m and the first try is m -+ h with
+            # h = (b - a) / 4; doubling S with h fixed halves h
+            m, h, a, b, s = 2 * mid, b - a, 4 * a, 4 * b, 4 * s
             while True:
-                lo, hi = mid - h, mid + h
-                if (
-                    sf.sign_at(lo) != 0
-                    and sf.sign_at(hi) != 0
-                    and _variations_at(chain, lo) - _variations_at(chain, hi) == 1
-                ):
-                    break
-                h /= 2
-            vlo, vhi = _variations_at(chain, lo), _variations_at(chain, hi)
-            rec(a, lo, va, vlo)
-            out.append((mid, mid))
-            rec(hi, b, vhi, vb)
+                lo, hi = m - h, m + h
+                if _horner_sign(ints, lo, s) and _horner_sign(ints, hi, s):
+                    vlo, vhi = var(lo, s), var(hi, s)
+                    if vlo - vhi == 1:
+                        break
+                m, a, b, s = 2 * m, 2 * a, 2 * b, 2 * s
+            rec(a, lo, s, va, vlo)
+            out.append((Fraction(m, s), Fraction(m, s)))
+            rec(hi, b, s, vhi, vb)
         else:
-            vm = _variations_at(chain, mid)
-            rec(a, mid, va, vm)
-            rec(mid, b, vm, vb)
+            vm = var(mid, 2 * s)
+            rec(2 * a, mid, 2 * s, va, vm)
+            rec(mid, 2 * b, 2 * s, vm, vb)
 
-    rec(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))
-    out.sort(key=lambda iv: iv[0])
+    bound = root_bound(sf)
+    B, s = bound.numerator, bound.denominator
+    rec(-B, B, s, var(-B, s), var(B, s))
     return out
 
 
 class RealRoot:
-    """One real root of a squarefree polynomial, with a shrinking enclosure."""
+    """One real root of a squarefree polynomial, with a shrinking enclosure.
 
-    __slots__ = ("poly", "lo", "hi")
+    The enclosure is [a/s, c/s] over integers, s > 0.  Bisection doubles s,
+    so it runs on integers; `lo`, `hi` and `width()` build `Fraction`s only
+    when they are read.
+    """
+
+    __slots__ = ("poly", "a", "c", "s", "_sign_lo")
 
     def __init__(self, poly: UniPoly, lo: Fraction, hi: Fraction):
         self.poly = poly
         if poly.degree == 1:
-            r = -poly.coeffs[0] / poly.coeffs[1]
-            lo = hi = r
-        self.lo = lo
-        self.hi = hi
+            lo = hi = -poly.coeffs[0] / poly.coeffs[1]
+        lo, hi = Fraction(lo), Fraction(hi)
+        self.s = lcm(lo.denominator, hi.denominator)
+        self.a = lo.numerator * (self.s // lo.denominator)
+        self.c = hi.numerator * (self.s // hi.denominator)
+        self._sign_lo = None  # sign of poly at the lower end, never 0
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.s)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.c, self.s)
 
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        return self.a == self.c
 
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.c - self.a, self.s)
 
     def refine_to(self, width: Fraction):
         """Bisect until the enclosure is at most `width` wide."""
-        if self.is_exact():
-            return
-        s_lo = self.poly.sign_at(self.lo)
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            s_mid = self.poly.sign_at(mid)
-            if s_mid == 0:
-                self.lo = self.hi = mid
+        width = Fraction(width)
+        if width <= 0:
+            raise DomainError("width must be positive")
+        while (self.c - self.a) * width.denominator > width.numerator * self.s:
+            self._bisect(1)
+
+    def _bisect(self, times: int):
+        """Halve the enclosure `times` times, or until a midpoint is the root.
+
+        The lower end moves only to points where poly has its sign, so that
+        sign is taken once.
+        """
+        ints = self.poly._integer_form()[0]
+        for _ in range(times):
+            if self.a == self.c:
                 return
-            if s_mid == s_lo:
-                self.lo = mid
+            if self._sign_lo is None:
+                self._sign_lo = _horner_sign(ints, self.a, self.s)
+            mid = self.a + self.c
+            self.s *= 2
+            s_mid = _horner_sign(ints, mid, self.s)
+            if s_mid == 0:
+                self.a = self.c = mid
+            elif s_mid == self._sign_lo:
+                self.a, self.c = mid, 2 * self.c
             else:
-                self.hi = mid
+                self.a, self.c = 2 * self.a, mid
 
     def __repr__(self):
         return f"RealRoot({self.poly!r}, [{self.lo}, {self.hi}])"
 
 
+def _enclosure_sign(ints, root: RealRoot) -> Sign:
+    """Sign of `ints` over the root's enclosure, 0 when that cannot decide."""
+    lo, hi = _horner_interval(ints, root.a, root.c, root.s)
+    return 1 if lo > 0 else -1 if hi < 0 else 0
+
+
 def sign_at(p: UniPoly, root: RealRoot) -> Sign:
     """Exact sign of p at the root."""
     if root.is_exact():
-        return p.sign_at(root.lo)
+        return _horner_sign(p._integer_form()[0], root.a, root.s)
     if p.is_zero():
         return 0
-    g = poly_gcd(root.poly, p)
-    return _sign_at_nonexact(p, root, g)
+    return _sign_at_nonexact(p, root, partial(poly_gcd, root.poly, p))
 
 
-def _sign_at_nonexact(p: UniPoly, root: RealRoot, g: UniPoly) -> Sign:
-    # the only root of root.poly in the enclosure is the root itself, so a
-    # sign change of g across it decides whether p vanishes there
-    if g.degree >= 1 and g.sign_at(root.lo) * g.sign_at(root.hi) < 0:
+def _sign_at_nonexact(p: UniPoly, root: RealRoot, g) -> Sign:
+    """Sign of p at a root whose enclosure is not a point.
+
+    Interval Horner over the enclosure decides first.  Only when it cannot
+    is g() called for gcd(root.poly, p): the only root of root.poly in the
+    enclosure is the root itself, so a sign change of that gcd across the
+    enclosure means p vanishes there.  Otherwise the root is bisected
+    until the enclosure decides.
+    """
+    ints = p._integer_form()[0]
+    s = _enclosure_sign(ints, root)
+    if s:
+        return s
+    gi = g()._integer_form()[0]
+    if len(gi) > 1 and _horner_sign(gi, root.a, root.s) * _horner_sign(gi, root.c, root.s) < 0:
         return 0
     while True:
-        vlo, vhi = p.eval_interval(root.lo, root.hi)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        root.refine_to(root.width() / 4)
+        root._bisect(2)
         if root.is_exact():
-            return p.sign_at(root.lo)
+            return _horner_sign(ints, root.a, root.s)
+        s = _enclosure_sign(ints, root)
+        if s:
+            return s
 
 
 def real_roots(q: UniPoly) -> list[RealRoot]:
@@ -481,7 +537,11 @@ def thom_encoding(q: UniPoly) -> list[ThomCode]:
 
 
 def thom_rooted(q: UniPoly) -> list[tuple[ThomCode, RealRoot]]:
-    """Thom codes paired with their isolating roots."""
+    """Thom codes paired with their isolating roots.
+
+    The gcd of the squarefree part with a derivative is computed once, for
+    the first root whose enclosure cannot decide that derivative's sign.
+    """
     roots = real_roots(q)
     if not roots:
         return []
@@ -491,16 +551,14 @@ def thom_rooted(q: UniPoly) -> list[tuple[ThomCode, RealRoot]]:
     for _ in range(sf.degree):
         d = d.derivative()
         derivs.append(d)
-    gcds = [poly_gcd(sf, dk) for dk in derivs]
+    gcds = [cache(partial(poly_gcd, sf, dk)) for dk in derivs]
     out = []
     for r in roots:
-        code = []
-        for dk, g in zip(derivs, gcds):
-            if r.is_exact():
-                code.append(dk.sign_at(r.lo))
-            else:
-                code.append(_sign_at_nonexact(dk, r, g))
-        out.append((tuple(code), r))
+        if r.is_exact():
+            code = tuple(_horner_sign(dk._integer_form()[0], r.a, r.s) for dk in derivs)
+        else:
+            code = tuple(_sign_at_nonexact(dk, r, g) for dk, g in zip(derivs, gcds))
+        out.append((code, r))
     codes = [c for c, _ in out]
     if len(set(codes)) != len(codes):
         raise SolverError(f"Thom codes of {sf!r} do not distinguish its roots")
@@ -522,6 +580,33 @@ def find_root(q: UniPoly, code: ThomCode) -> RealRoot:
     raise InvalidCodeError(f"no real root of {q!r} has code {tuple(code)}")
 
 
+def _quotient_enclosure(num: UniPoly, den: UniPoly, root: RealRoot):
+    """(A, B, C, E) with num/den over the root's enclosure in [A/B, C/E].
+
+    B, E > 0, and the ends are the same as those of interval division of
+    the two interval Horner enclosures.  None when den's enclosure meets
+    zero.
+    """
+    nints, nd = num._integer_form()
+    dints, dd = den._integer_form()
+    a, c, s = root.a, root.c, root.s
+    dlo, dhi = _horner_interval(dints, a, c, s)
+    if dlo <= 0 <= dhi:
+        return None
+    nlo, nhi = _horner_interval(nints, a, c, s)
+    if dhi < 0:
+        nlo, nhi, dlo, dhi = -nhi, -nlo, -dhi, -dlo
+    # num = n / (nd s^deg num) and den = d / (dd s^deg den) over the enclosure
+    k = len(dints) - len(nints)
+    f, g = (dd * s**k, nd) if k >= 0 else (dd, nd * s**-k)
+    return (
+        nlo * f,
+        (dhi if nlo >= 0 else dlo) * g,
+        nhi * f,
+        (dlo if nhi >= 0 else dhi) * g,
+    )
+
+
 def rational_function_interval(
     num: UniPoly, den: UniPoly, root: RealRoot, width: Fraction
 ) -> tuple[Fraction, Fraction]:
@@ -529,20 +614,41 @@ def rational_function_interval(
 
     Requires den(root) != 0; the root enclosure is refined as needed.
     """
-    if root.is_exact():
-        v = num.eval(root.lo) / den.eval(root.lo)
-        return v, v
-    while True:
-        dlo, dhi = den.eval_interval(root.lo, root.hi)
-        if not (dlo <= 0 <= dhi):
-            nlo, nhi = num.eval_interval(root.lo, root.hi)
-            vlo, vhi = interval_div(nlo, nhi, dlo, dhi)
-            if vhi - vlo <= width:
-                return vlo, vhi
-        root.refine_to(root.width() / 4)
-        if root.is_exact():
-            v = num.eval(root.lo) / den.eval(root.lo)
-            return v, v
+    width = Fraction(width)
+    if width <= 0:
+        raise DomainError("width must be positive")
+    while not root.is_exact():
+        q = _quotient_enclosure(num, den, root)
+        if q is not None:
+            A, B, C, E = q
+            if (C * B - A * E) * width.denominator <= width.numerator * B * E:
+                return Fraction(A, B), Fraction(C, E)
+        root._bisect(2)
+    v = num.eval(root.lo) / den.eval(root.lo)
+    return v, v
+
+
+def dyadic_floor(num: UniPoly, den: UniPoly, root: RealRoot, m: int) -> int:
+    """floor(2^m num(root)/den(root)), decided exactly; den(root) != 0.
+
+    The root is bisected until the quotient's enclosure lies in one cell of
+    the 2^-m grid or is at most 2^-m wide.  In the second case it straddles
+    one grid point g, and the sign of num - g den at the root decides.
+    """
+    while not root.is_exact():
+        q = _quotient_enclosure(num, den, root)
+        if q is not None:
+            A, B, C, E = q
+            k = (A << m) // B
+            if (C << m) // E == k:
+                return k
+            if (C * B - A * E) << m <= B * E:
+                g = Fraction(k + 1, 1 << m)
+                above = sign_at(num - den.scale(g), root) * sign_at(den, root) >= 0
+                return k + 1 if above else k
+        root._bisect(2)
+    v = num.eval(root.lo) / den.eval(root.lo)
+    return (v.numerator << m) // v.denominator
 
 
 @dataclass(frozen=True)
@@ -583,9 +689,6 @@ class AlgebraicPoint:
 
     def refine(self, eps) -> list[tuple[Fraction, Fraction]]:
         """Per-coordinate enclosures, each at most eps wide."""
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise DomainError("eps must be positive")
         root = self.root()
         return [
             rational_function_interval(qi, self.q0, root, eps)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .compositions import Composition, extremal_compositions
@@ -43,6 +43,7 @@ from .errors import DomainError, SolverError
 from .realroots import (
     AlgebraicPoint,
     UniPoly,
+    _primitive,
     divmod_poly,
     poly_gcd,
     sign_at,
@@ -110,30 +111,34 @@ def _solve_generic(w, rhs) -> Parametrization | None:
     # minimal polynomials where those have repeated roots; it holds a
     # squarefree univariate polynomial in every variable, so it is radical
     # (Seidenberg) and the quotient is reduced
+    krylovs = [_Krylov(M) for M in mats]
     nilpotent = []
-    for M in mats:
-        kry = _Krylov(M)
+    for kry in krylovs:
         sf = squarefree_part(kry.min_poly)
         if sf.degree < kry.min_poly.degree:
             nilpotent.append(kry.at_one(sf))
     if nilpotent:
-        mats = _quotient_by_ideal(mats, nilpotent)
-    return _parametrize(mats)
+        return _parametrize(_quotient_by_ideal(mats, nilpotent))
+    return _parametrize(mats, krylovs)
 
 
-def _parametrize(mats) -> Parametrization:
+def _parametrize(mats, krylovs=None) -> Parametrization:
     """Rational parametrization of a reduced algebra's points.
 
     mats are the coordinates' multiplication matrices, basis element 0 is
-    1.  The result depends on the algebra alone, not on its basis.  A
-    separating mu makes A = Q[mu]/(q), so z_i = g_i(mu) for the g_i with
-    z_i * 1 = g_i(mu) * 1, and z_i = q_i / q' at the roots of q with
-    q_i = g_i q' mod q.
+    1; `krylovs`, when given, are their `_Krylov`s, so the single-coordinate
+    candidates reuse them.  The result depends on the algebra alone, not
+    on its basis.  A separating mu makes A = Q[mu]/(q), so z_i = g_i(mu)
+    for the g_i with z_i * 1 = g_i(mu) * 1, and z_i = q_i / q' at the
+    roots of q with q_i = g_i q' mod q.
     """
     d = len(mats)
     D = len(mats[0])
     for cand in _separating_candidates(d, D):
-        kry = _Krylov(_mat_combine(mats, cand, D))
+        if krylovs and sum(cand) == 1:  # the single coordinate cand.index(1)
+            kry = krylovs[cand.index(1)]
+        else:
+            kry = _Krylov(_mat_combine(mats, cand, D))
         if kry.min_poly.degree == D:
             break
     else:
@@ -416,11 +421,6 @@ def _quotient_by_ideal(mats, gens):
                         Q[t][s] += x * y
         out.append(Q)
     return out
-
-
-def _primitive(v):
-    g = gcd(*v)
-    return v if g == 1 else [x // g for x in v]
 
 
 def _quotient_data(eqs, R):

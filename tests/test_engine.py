@@ -5,6 +5,7 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -23,7 +24,9 @@ from symconn.polynomials import (
     vandermonde_map,
 )
 from symconn.problemfile import build_config, parse_problem
+from symconn.realroots import AlgebraicPoint, UniPoly, real_roots
 from symconn.uniongraph import intersection_region, locate_vertex
+from symconn.vandermonde import min_canonical
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -519,3 +522,72 @@ def test_wall_failure_is_not_memoized_and_faces_are_located_in_order(monkeypatch
             eng.wall(x, 2)
     monkeypatch.setattr(engine_module, "locate_vertex", real)
     assert eng.wall(x, 2).connected
+
+
+# -- canonical stand-ins -------------------------------------------------------
+
+
+def test_stand_in_depends_only_on_the_point():
+    # the midpoint of an enclosure 2^-15000 wide has a denominator too long
+    # for str(); the floor on the 2^-30 grid is the same from that
+    # enclosure and from a fresh one
+    t = UniPoly.variable()
+    q, one = t**2 - 2, UniPoly.constant(1)
+    root = real_roots(q)[1]
+    root.refine_to(F(1, 2**15000))
+    fine = AlgebraicPoint(q, one, (t,), (1, 1), enclosure=(root.poly, root.lo, root.hi))
+    fresh = AlgebraicPoint(q, one, (t,), (1, 1))
+    for pt in (fine, fresh):
+        rational, runs, clamped = engine_module._rational_embedding(pt, make_box(1, -2, 2))
+        assert engine_module._point_json(rational) == ["1518500249/1073741824"]
+        assert runs == (1,) and clamped == []
+
+
+def stand_in_points():
+    """Embedded canonical points of seeded fibers, and two runs 2^-50 apart."""
+    rng = random.Random(53)
+    pts = []
+    for n, d, count in ((3, 2, 4), (4, 3, 4), (5, 3, 4), (5, 4, 1)):
+        for _ in range(count):
+            x = sorted(F(rng.randint(-8, 8), 8) for _ in range(n))
+            pts.append(min_canonical(n, d, vandermonde_map(x, d)).embedded_point())
+    t = UniPoly.variable()
+    close = (t, t, t + F(1, 2**50))
+    pts.append(AlgebraicPoint(t**2 - 2, UniPoly.constant(1), close, (1, 1)))
+    return pts
+
+
+def test_stand_in_is_the_floor_on_a_separating_grid(coordinate_sign):
+    finest = 0
+    for pt in stand_in_points():
+        rational, runs, clamped = engine_module._rational_embedding(pt, make_box(pt.dim, -9, 9))
+        assert clamped == []
+        # the grid 2^-m is the coarsest of 2^-30, 2^-38, ... holding every run value
+        m = 30
+        while any((c * 2**m).denominator != 1 for c in rational):
+            m += 8
+        finest = max(finest, m)
+        starts = [sum(runs[:k]) for k in range(len(runs))]
+        for s, r in zip(starts, runs):
+            c = rational[s]
+            assert set(rational[s:s + r]) == {c}
+            assert coordinate_sign(pt, s, offset=c) >= 0
+            assert coordinate_sign(pt, s, offset=c + F(1, 2**m)) < 0
+        assert all(rational[a] < rational[b] for a, b in zip(starts, starts[1:]))
+    assert finest > 30
+
+
+def test_lattice_stand_ins_are_the_points_themselves():
+    # every feasible sorted point of cubic3-d3's pitch-1/4 lattice is its
+    # own canonical point, and a dyadic point is its own floor
+    eng = Engine(*fixture_system("cubic3-d3"))
+    axis = [F(k, 4) for k in range(-8, 9)]
+    seen = 0
+    for x in combinations_with_replacement(axis, 3):
+        try:
+            xs, a = eng._check_point(x, "x")
+        except PreconditionError:
+            continue
+        assert eng._canonical(a)["rational"] == xs
+        seen += 1
+    assert seen > 300

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 import pytest
 import sympy
@@ -12,6 +14,7 @@ from symconn.realroots import (
     UniPoly,
     count_real_roots,
     divmod_poly,
+    dyadic_floor,
     isolate_real_roots,
     poly_gcd,
     rational_function_interval,
@@ -170,6 +173,16 @@ def test_poly_gcd_matches_fraction_reference():
     assert poly_gcd(t, t - PRIME) == UniPoly.constant(1)
 
 
+def int_eval_interval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The integer interval Horner kernel's enclosure of p over [lo, hi]."""
+    ints, den = p._integer_form()
+    s = lcm(lo.denominator, hi.denominator)
+    x0, x1 = lo.numerator * (s // lo.denominator), hi.numerator * (s // hi.denominator)
+    alo, ahi = realroots._horner_interval(ints, x0, x1, s)
+    scale = den * s ** max(len(ints) - 1, 0)
+    return Fraction(alo, scale), Fraction(ahi, scale)
+
+
 def test_eval_interval_matches_fraction_reference():
     rng = random.Random(45)
     polys = [random_poly(rng, 8, zero_ok=True) for _ in range(40)]
@@ -179,11 +192,11 @@ def test_eval_interval_matches_fraction_reference():
             a = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
             b = a + Fraction(rng.randint(0, 30), rng.randint(1, 9))
             for lo, hi in ((a, b), (a, a), (-b, -a), (-abs(a) - abs(b) - 1, -abs(a) - 1)):
-                got = p.eval_interval(lo, hi)
+                got = int_eval_interval(p, lo, hi)
                 assert got == ref_eval_interval(p, lo, hi)
                 assert got[0] <= got[1]
-    assert UniPoly([]).eval_interval(Fraction(1, 3), Fraction(1, 2)) == (0, 0)
-    assert UniPoly.constant(7).eval_interval(Fraction(-1, 3), Fraction(1, 2)) == (7, 7)
+    assert int_eval_interval(UniPoly([]), Fraction(1, 3), Fraction(1, 2)) == (0, 0)
+    assert int_eval_interval(UniPoly.constant(7), Fraction(-1, 3), Fraction(1, 2)) == (7, 7)
 
 
 def test_squarefree_part():
@@ -397,3 +410,220 @@ def test_sign_at_exact_root():
     assert sign_at(t, r) == 1
     assert sign_at(t - Fraction(1, 2), r) == 0
     assert sign_at(UniPoly([]), r) == 0
+
+
+# -- Fraction references for the root kernel ---------------------------------
+#
+# Isolation, bisection, non-exact signs and quotient enclosures used to run
+# on `Fraction` endpoints.  Those versions are kept here as the references
+# the integer kernel must match exactly: it bisects at the same points, so
+# every enclosure is the same interval.
+
+
+def ref_variations(chain, x) -> int:
+    signs = [s for s in (q.sign_at(x) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def ref_isolate(sf: UniPoly) -> list[tuple[Fraction, Fraction]]:
+    chain = realroots.sturm_chain(sf)
+    bound = root_bound(sf)
+    out = []
+
+    def rec(a, b, va, vb):
+        if va - vb == 0:
+            return
+        if va - vb == 1:
+            out.append((a, b))
+            return
+        mid = (a + b) / 2
+        if sf.sign_at(mid) == 0:
+            h = (b - a) / 4
+            while True:
+                lo, hi = mid - h, mid + h
+                if (
+                    sf.sign_at(lo) != 0
+                    and sf.sign_at(hi) != 0
+                    and ref_variations(chain, lo) - ref_variations(chain, hi) == 1
+                ):
+                    break
+                h /= 2
+            rec(a, lo, va, ref_variations(chain, lo))
+            out.append((mid, mid))
+            rec(hi, b, ref_variations(chain, hi), vb)
+        else:
+            vm = ref_variations(chain, mid)
+            rec(a, mid, va, vm)
+            rec(mid, b, vm, vb)
+
+    rec(-bound, bound, ref_variations(chain, -bound), ref_variations(chain, bound))
+    return sorted(out)
+
+
+class RefRoot:
+    """A root enclosure with `Fraction` ends, bisected as `RealRoot` is."""
+
+    def __init__(self, poly: UniPoly, lo: Fraction, hi: Fraction):
+        if poly.degree == 1:
+            lo = hi = -poly.coeffs[0] / poly.coeffs[1]
+        self.poly, self.lo, self.hi = poly, lo, hi
+
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
+
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def refine_to(self, width):
+        if self.is_exact():
+            return
+        s_lo = self.poly.sign_at(self.lo)
+        while self.hi - self.lo > width:
+            mid = (self.lo + self.hi) / 2
+            s_mid = self.poly.sign_at(mid)
+            if s_mid == 0:
+                self.lo = self.hi = mid
+                return
+            if s_mid == s_lo:
+                self.lo = mid
+            else:
+                self.hi = mid
+
+
+def ref_sign_at_nonexact(p: UniPoly, root: RefRoot, g: UniPoly) -> int:
+    if g.degree >= 1 and g.sign_at(root.lo) * g.sign_at(root.hi) < 0:
+        return 0
+    while True:
+        vlo, vhi = ref_eval_interval(p, root.lo, root.hi)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        root.refine_to(root.width() / 4)
+        if root.is_exact():
+            return p.sign_at(root.lo)
+
+
+def ref_rational_function_interval(num, den, root: RefRoot, width):
+    while not root.is_exact():
+        dlo, dhi = ref_eval_interval(den, root.lo, root.hi)
+        if not (dlo <= 0 <= dhi):
+            nlo, nhi = ref_eval_interval(num, root.lo, root.hi)
+            vals = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
+            if max(vals) - min(vals) <= width:
+                return min(vals), max(vals)
+        root.refine_to(root.width() / 4)
+    v = num.eval(root.lo) / den.eval(root.lo)
+    return v, v
+
+
+def ref_thom_codes(sf: UniPoly) -> list[tuple]:
+    derivs = [sf]
+    for _ in range(sf.degree):
+        derivs.append(derivs[-1].derivative())
+    derivs = derivs[1:]
+    gcds = [ref_gcd(sf, dk) for dk in derivs]
+    codes = []
+    for lo, hi in ref_isolate(sf):
+        r = RefRoot(sf, lo, hi)
+        codes.append(tuple(
+            dk.sign_at(r.lo) if r.is_exact() else ref_sign_at_nonexact(dk, r, g)
+            for dk, g in zip(derivs, gcds)
+        ))
+    return codes
+
+
+def kernel_cases():
+    """(squarefree sf, factor f of sf) pairs, seeded.
+
+    Every fourth sf has the root 0, the first bisection midpoint; the fixed
+    cases add rational roots that isolation or refinement lands on.
+    """
+    rng = random.Random(47)
+    t = UniPoly.variable()
+    out = []
+    for k in range(48):
+        f, g = random_poly(rng, 4), random_poly(rng, 4)
+        if k % 4 == 0:
+            g = g * t
+        sf = squarefree_part(f * g)
+        if sf.degree >= 1:
+            out.append((sf, f))
+    half = Fraction(1, 2)
+    out += [
+        ((t - half) * (t**2 - 3), t**2 - 3),  # refining [0, 1] lands on 1/2
+        (t * (t**2 - 2), t),
+        (t**3 - 3 * t, t),
+        (squarefree_part((t - 1) * (t - 3) * (t**2 - 5) * (t + half)), t - 3),
+    ]
+    return out
+
+
+def test_root_kernel_matches_fraction_reference():
+    rng = random.Random(48)
+    widths = (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 2**40))
+    isolated_hits = refined_hits = zeros = 0
+    for sf, f in kernel_cases():
+        ivs = isolate_real_roots(sf)
+        assert ivs == ref_isolate(sf)
+        isolated_hits += sum(lo == hi for lo, hi in ivs)
+        assert thom_encoding(sf) == ref_thom_codes(sf)
+        num, den = random_poly(rng, 5), random_poly(rng, 4)
+        probes = (random_poly(rng, 5), f * random_poly(rng, 2))
+        for lo, hi in ivs:
+            for width in widths:
+                r, ref = RealRoot(sf, lo, hi), RefRoot(sf, lo, hi)
+                r.refine_to(width)
+                ref.refine_to(width)
+                assert (r.lo, r.hi) == (ref.lo, ref.hi)
+                refined_hits += r.is_exact() and lo != hi
+            for p in probes:
+                r, ref = RealRoot(sf, lo, hi), RefRoot(sf, lo, hi)
+                if r.is_exact():
+                    continue
+                got = realroots._sign_at_nonexact(p, r, partial(poly_gcd, sf, p))
+                assert got == ref_sign_at_nonexact(p, ref, ref_gcd(sf, p))
+                assert (r.lo, r.hi) == (ref.lo, ref.hi)
+                zeros += got == 0
+            if sign_at(den, RealRoot(sf, lo, hi)) == 0:
+                continue
+            r, ref = RealRoot(sf, lo, hi), RefRoot(sf, lo, hi)
+            for width in widths:
+                got = rational_function_interval(num, den, r, width)
+                assert got == ref_rational_function_interval(num, den, ref, width)
+                assert (r.lo, r.hi) == (ref.lo, ref.hi)
+    assert isolated_hits and refined_hits and zeros
+
+
+def test_width_must_be_positive():
+    # a width of 0 would bisect an irrational root forever
+    root = real_roots(UniPoly([-2, 0, 1]))[1]
+    t = UniPoly.variable()
+    for width in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(DomainError, match="positive"):
+            root.refine_to(width)
+        with pytest.raises(DomainError, match="positive"):
+            rational_function_interval(t, UniPoly.constant(1), root, width)
+    assert not root.is_exact()
+
+
+def test_dyadic_floor_is_exact():
+    rng = random.Random(49)
+    checked = on_grid = 0
+    for sf, f in kernel_cases()[:24]:
+        den = random_poly(rng, 3)
+        c0 = Fraction(rng.randint(-40, 40), 8)
+        # num/den is c0, a grid point, at the roots of f
+        for num in (random_poly(rng, 5), den.scale(c0) + f * random_poly(rng, 2)):
+            for root in real_roots(sf):
+                s0 = sign_at(den, root)
+                if s0 == 0:
+                    continue
+                for m in (0, 3, 30, 64):
+                    k = dyadic_floor(num, den, root, m)
+                    c = Fraction(k, 2**m)
+                    assert sign_at(num - den.scale(c), root) * s0 >= 0
+                    assert sign_at(num - den.scale(c + Fraction(1, 2**m)), root) * s0 < 0
+                    checked += 1
+                    on_grid += sign_at(num - den.scale(c), root) == 0
+    assert checked > 100 and on_grid > 10

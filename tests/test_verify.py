@@ -92,11 +92,13 @@ def test_full_corpus_agreement():
 
 # SHA-256 over the sorted-key JSON of every certificate below, one per line.
 # Performance work must leave it alone: a changed digest means a changed
-# certificate, not a faster one.  It last moved when GT constraints got a
-# fixed one-pitch margin and the "gt_gamma" key left every certificate's
-# config record; deleting that key from the previous certificates gives
-# exactly this digest, so nothing else in them changed.
-GOLDEN_DIGEST = "79a159fa1e607a94e0c08837cc6e89110ca5d8a87b8d23d88c10945b2febd5f2"
+# certificate, not a faster one.  It last moved when each canonical
+# stand-in became the floor of the point on a 2^-m grid instead of the
+# midpoint of an enclosure: with the "point" and "point_decimal" keys
+# deleted from every x_canonical and y_canonical record, the previous
+# certificates and these hash alike (6933079828184a06...), so nothing
+# else in them changed.
+GOLDEN_DIGEST = "a8a50709a87e80165a389a6fe3bf0287f1c1ab3ded276874c9c91baea6d4df7e"
 
 
 def test_golden_certificate_digest():
@@ -149,10 +151,10 @@ WIDE_QUERIES = {
 
 # SHA-256 over the sorted-key JSON of the WIDE_QUERIES certificates, one per
 # line, in the order above; like GOLDEN_DIGEST it guards certificates, not
-# speed.  It last moved with GOLDEN_DIGEST and only by the same deleted
-# "gt_gamma" key: the previous certificates with that key removed give
-# exactly this digest.
-WIDE_DIGEST = "2002c14c7aff5a59c31bcb5d6e27352a772a27444b8fd0e458800520b62b61d0"
+# speed.  It last moved with GOLDEN_DIGEST and only in the same canonical
+# "point" and "point_decimal" keys: with those deleted, the previous
+# certificates and these hash alike (757af5997d92aabc...).
+WIDE_DIGEST = "cf287356ec3d82a20948b2ec44753076b70d016d7277ed8a79248b1458d4fea4"
 
 
 def test_wide_certificate_digest():
