@@ -131,10 +131,11 @@ def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...]
     for r in runs:
         starts.append(pos)
         pos += r
-    root = emb.root()
+    shared = {emb.codes[s]: emb.root(s) for s in starts}
+    roots = [shared[emb.codes[s]] for s in starts]
     m = 30
     while True:
-        ks = [dyadic_floor(emb.coords[s], emb.q0, root, m) for s in starts]
+        ks = [dyadic_floor(emb.coords[s], emb.q0, r, m) for s, r in zip(starts, roots)]
         if all(k < k2 for k, k2 in zip(ks, ks[1:])):
             break
         m += 8

@@ -3,8 +3,9 @@
 Real roots are isolated with Sturm sequences and identified by sign codes:
 the vector of signs of the derivatives at the root.  Codes are the canonical
 identity of a root; isolating intervals are kept alongside and shrink on
-demand.  Points in R^m appear as one root plus a tuple of coordinate
-polynomials q_i with x_i = q_i(root) / q_0(root).
+demand.  Points in R^m appear as coordinate polynomials q_i over one
+polynomial q, with x_i = q_i(r_i) / q_0(r_i) at a real root r_i of q that
+each coordinate names by its code.
 
 All arithmetic is exact.  Coefficients are stored as `fractions.Fraction`,
 but the hot kernels (products, division with remainder, sign and interval
@@ -368,7 +369,11 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     while the Sturm sequence is evaluated; each endpoint becomes a
     `Fraction` once, on output.
     """
-    sf = squarefree_part(p)
+    return _isolate(squarefree_part(p))
+
+
+def _isolate(sf: UniPoly) -> list[tuple[Fraction, Fraction]]:
+    """`isolate_real_roots` of a squarefree polynomial."""
     if sf.degree < 1:
         return []
     ints = sf._integer_form()[0]
@@ -524,7 +529,7 @@ def real_roots(q: UniPoly) -> list[RealRoot]:
     if q.is_zero():
         raise DomainError("zero polynomial has every point as a root")
     sf = squarefree_part(q)
-    return [RealRoot(sf, lo, hi) for lo, hi in isolate_real_roots(sf)]
+    return [RealRoot(sf, lo, hi) for lo, hi in _isolate(sf)]
 
 
 def thom_encoding(q: UniPoly) -> list[ThomCode]:
@@ -570,13 +575,6 @@ def sign_at_root(q: UniPoly, code: ThomCode, p: UniPoly) -> Sign:
     for c, root in thom_rooted(q):
         if c == tuple(code):
             return sign_at(p, root)
-    raise InvalidCodeError(f"no real root of {q!r} has code {tuple(code)}")
-
-
-def find_root(q: UniPoly, code: ThomCode) -> RealRoot:
-    for c, root in thom_rooted(q):
-        if c == tuple(code):
-            return root
     raise InvalidCodeError(f"no real root of {q!r} has code {tuple(code)}")
 
 
@@ -633,10 +631,14 @@ def dyadic_floor(num: UniPoly, den: UniPoly, root: RealRoot, m: int) -> int:
 
     The root is bisected until the quotient's enclosure lies in one cell of
     the 2^-m grid or is at most 2^-m wide.  In the second case it straddles
-    one grid point g, and the sign of num - g den at the root decides.
+    one grid point g, and the sign of num - g den at the root decides.  An
+    enclosure 2^b cells wide takes b bisections at once: the enclosure
+    shrinks about as fast as the root's, and a bisection costs one sign
+    evaluation where an enclosure costs two interval evaluations.
     """
     while not root.is_exact():
         q = _quotient_enclosure(num, den, root)
+        steps = 2
         if q is not None:
             A, B, C, E = q
             k = (A << m) // B
@@ -646,34 +648,85 @@ def dyadic_floor(num: UniPoly, den: UniPoly, root: RealRoot, m: int) -> int:
                 g = Fraction(k + 1, 1 << m)
                 above = sign_at(num - den.scale(g), root) * sign_at(den, root) >= 0
                 return k + 1 if above else k
-        root._bisect(2)
+            steps = max(steps, ((C * B - A * E) << m).bit_length() - (B * E).bit_length())
+        root._bisect(steps)
     v = num.eval(root.lo) / den.eval(root.lo)
     return (v.numerator << m) // v.denominator
 
 
+def root_index(num: UniPoly, den: UniPoly, root: RealRoot, roots: list[RealRoot]) -> int:
+    """Index k with num(root)/den(root) equal to the root roots[k].
+
+    `roots` are the isolating enclosures of distinct real roots of one
+    polynomial, as `real_roots` gives them, and the value must be one of
+    those roots.  It lies inside its own enclosure and outside the closure
+    of every other, so bisecting `root` until the value's enclosure meets
+    exactly one of them decides the index exactly.
+    """
+    if len(roots) == 1:
+        return 0
+    while True:
+        q = _quotient_enclosure(num, den, root)
+        if q is not None:
+            A, B, C, E = q
+            hits = [
+                k for k, b in enumerate(roots) if A * b.s <= b.c * B and b.a * E <= C * b.s
+            ]
+            if len(hits) == 1:
+                return hits[0]
+        if root.is_exact():
+            raise SolverError("value is not a root of the given polynomial")
+        root._bisect(2)
+
+
+def compare_values(
+    num1: UniPoly, den1: UniPoly, root1: RealRoot, num2: UniPoly, den2: UniPoly, root2: RealRoot
+) -> Sign:
+    """Sign of num1/den1 at root1 minus num2/den2 at root2.
+
+    Both roots are bisected until the two values' enclosures are disjoint,
+    so the values must differ unless both roots are exact.
+    """
+    width = Fraction(1)
+    while True:
+        lo1, hi1 = rational_function_interval(num1, den1, root1, width)
+        lo2, hi2 = rational_function_interval(num2, den2, root2, width)
+        if hi1 < lo2 or hi2 < lo1 or lo1 == hi1 == lo2 == hi2:
+            return _sign(lo1 - lo2)
+        width /= 256
+
+
 @dataclass(frozen=True)
 class AlgebraicPoint:
-    """Point of R^m with coordinates q_i(root)/q0(root).
+    """Point of R^m whose coordinate i is q_i(r_i)/q0(r_i) at a real root r_i of q.
 
-    `q` pins down the root (via the sign code), `q0` is the common
-    denominator, `coords` hold one numerator polynomial per coordinate.
-    gcd(q, q0) = 1, so the denominator cannot vanish at the root.
+    `q` and its sign codes pin down the roots: `codes[i]` is r_i's code,
+    `q0` is the common denominator, `coords` hold one numerator polynomial
+    per coordinate.  gcd(q, q0) = 1, so the denominator cannot vanish at a
+    root.  Coordinates on one root are compared by exact signs there.
+    Equal coordinates must share a root, as they do in the solver's points,
+    so two coordinates on different roots differ, and refining both
+    enclosures decides their order.  A point whose coordinates all share
+    one root is a rational parametrization at that root.
 
-    `enclosure` is the isolating data (squarefree part, lo, hi) of the root
-    as Thom encoding left it.  The solver passes it in; a point built
-    without it isolates once, on first use.  It is not part of the point's
-    identity: equality, hashing and `payload()` ignore it.  `root()` hands
-    out a fresh `RealRoot` on every call, because callers refine the root
-    they are given and must not move each other's enclosures.
+    `enclosures` holds the isolating data (squarefree part, lo, hi) of each
+    coordinate's root as Thom encoding left it.  The solver passes it in;
+    a point built without it isolates once, on first use.  It is not part
+    of the point's identity: equality, hashing and `payload()` ignore it.
+    `root(i)` hands out a fresh `RealRoot` on every call, because callers
+    refine the root they are given and must not move each other's
+    enclosures.
     """
 
     q: UniPoly
     q0: UniPoly
     coords: tuple[UniPoly, ...]
-    code: ThomCode
-    enclosure: tuple | None = field(default=None, compare=False, repr=False)
+    codes: tuple[ThomCode, ...]
+    enclosures: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if len(self.codes) != len(self.coords):
+            raise DomainError("need one root code per coordinate")
         if poly_gcd(self.q, self.q0).degree > 0:
             raise DomainError("denominator shares a root with the defining polynomial")
 
@@ -681,18 +734,22 @@ class AlgebraicPoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    def root(self) -> RealRoot:
-        if self.enclosure is None:
-            r = find_root(self.q, self.code)
-            object.__setattr__(self, "enclosure", (r.poly, r.lo, r.hi))
-        return RealRoot(*self.enclosure)
+    def root(self, i: int = 0) -> RealRoot:
+        """Coordinate i's root."""
+        if self.enclosures is None:
+            found = {c: (r.poly, r.lo, r.hi) for c, r in thom_rooted(self.q)}
+            missing = [c for c in self.codes if tuple(c) not in found]
+            if missing:
+                raise InvalidCodeError(f"no real root of {self.q!r} has code {tuple(missing[0])}")
+            object.__setattr__(self, "enclosures", tuple(found[tuple(c)] for c in self.codes))
+        return RealRoot(*self.enclosures[i])
 
     def refine(self, eps) -> list[tuple[Fraction, Fraction]]:
         """Per-coordinate enclosures, each at most eps wide."""
-        root = self.root()
+        roots = {c: self.root(i) for i, c in enumerate(self.codes)}
         return [
-            rational_function_interval(qi, self.q0, root, eps)
-            for qi in self.coords
+            rational_function_interval(qi, self.q0, roots[c], eps)
+            for qi, c in zip(self.coords, self.codes)
         ]
 
     def approx(self, eps) -> tuple[Fraction, ...]:
@@ -700,14 +757,18 @@ class AlgebraicPoint:
 
     def coordinate_compare(self, i: int, j: int) -> Sign:
         """Sign of x_i - x_j, exactly."""
-        root = self.root()
+        if self.codes[i] != self.codes[j]:
+            return compare_values(
+                self.coords[i], self.q0, self.root(i), self.coords[j], self.q0, self.root(j)
+            )
+        root = self.root(i)
         return sign_at(self.coords[i] - self.coords[j], root) * sign_at(self.q0, root)
 
     def multiplicity_runs(self) -> tuple[int, ...]:
         """Run lengths of equal adjacent coordinates."""
         runs, run = [], 1
         for i in range(1, self.dim):
-            same = (
+            same = self.codes[i] == self.codes[i - 1] and (
                 self.coords[i] == self.coords[i - 1]
                 or self.coordinate_compare(i, i - 1) == 0
             )
@@ -728,6 +789,5 @@ class AlgebraicPoint:
             "q": ser(self.q),
             "q0": ser(self.q0),
             "coords": [ser(c) for c in self.coords],
-            "code": list(self.code),
+            "codes": [list(c) for c in self.codes],
         }
-

@@ -3,25 +3,27 @@
 A face of the sorted chamber with blocks of sizes (w_1, ..., w_d) meets the
 fiber over a = (a_1, ..., a_d) where sum_k w_k z_k^j = a_j for j = 1..d.
 These square systems have finitely many complex solutions; they are returned
-as a rational parametrization (q, q0, q_1..q_d): each solution is
-(q_1/q0, ..., q_d/q0) evaluated at a root of q, with gcd(q, q0) = 1.
+as a rational parametrization (q, q0, q_1..q_d): each coordinate is q_i/q0
+at a root of q, with gcd(q, q0) = 1.
 
-Degrees one and two admit closed forms by linear elimination.  Higher degrees
-build the multiplication matrices of the quotient algebra from the system's
-symmetry under permuting blocks of equal weight (Faugere & Svartz 2013).  The
-largest such group is solved through its elementary symmetric functions,
-which Newton's identities express in the other unknowns, leaving a system J
-in those alone; the Cauchy modules then split the group's values, and they
-are a Groebner basis as they stand.  J in one unknown is one polynomial with
-a companion matrix, which covers every d = 3 face.  Only J in two or more
-unknowns takes a Groebner basis, computed with normal forms in sympy's
-sparse polynomial ring; a border monomial that leads a basis element takes
-its normal form from that element, and the others are reduced by sympy.
-That is the only use of sympy.  The algebra is then divided by its
+Degrees one and two admit closed forms by linear elimination, one root per
+solution.  Higher degrees use the system's symmetry under permuting blocks
+of equal weight (Faugere & Svartz 2013).  The largest such group, m blocks,
+is solved through its elementary symmetric functions, which Newton's
+identities express in the other unknowns y, leaving a system J in y alone.
+Over a point of B = Q[y]/J the group's values are the roots of one
+polynomial f of degree m, so the algebra solved is A = B[T]/(f), of
+dimension m dim B: a root of q is one group value over one point of B, and
+a solution puts each group coordinate on its own root.  J in one unknown is
+one polynomial with a companion matrix, which covers every d = 3 face.
+Only J in two or more unknowns takes a Groebner basis, computed with normal
+forms in sympy's sparse polynomial ring; a border monomial that leads a
+basis element takes its normal form from that element, and the others are
+reduced by sympy.  That is the only use of sympy.  A is then divided by its
 nilradical, the ideal of the coordinates' squarefree minimal polynomials
 (Seidenberg).  A separating linear form mu then has a minimal polynomial q
-of degree D = dim A, its Krylov basis 1, mu, ..., mu^(D-1) spans the algebra,
-and each coordinate's expansion in that basis gives the parametrization.
+of degree D = dim A, its Krylov basis 1, mu, ..., mu^(D-1) spans the
+algebra, and each element's expansion in that basis gives its numerator.
 
 The matrices hold `Fraction`s, but the linear algebra on them clears
 denominators once and runs over Python ints: one fraction-free (Bareiss)
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import lcm
+from functools import cmp_to_key
+from math import lcm, perm
 from typing import Sequence
 
 from .compositions import Composition, extremal_compositions
@@ -44,8 +46,11 @@ from .realroots import (
     AlgebraicPoint,
     UniPoly,
     _primitive,
+    compare_values,
     divmod_poly,
     poly_gcd,
+    real_roots,
+    root_index,
     sign_at,
     squarefree_part,
     thom_rooted,
@@ -54,11 +59,22 @@ from .realroots import (
 
 @dataclass(frozen=True)
 class Parametrization:
-    """Shared root data for all solutions of one weighted system."""
+    """Root data for the solutions of one weighted system.
+
+    For d <= 2 each solution is (q_1/q0, ..., q_d/q0) at one root of q.
+    For d >= 3 a root of q is a point (theta, t) of the algebra A of
+    `_fiber_algebra`: there y_k's value is q_k/q0, a root of its squarefree
+    minimal polynomial in `bases`, and every coordinate in `group` holds
+    T's value t.  A solution takes the group's coordinates at m roots of q
+    over one theta.  derivs[k-1]/q0 is d^k f / dT^k at the point.
+    """
 
     q: UniPoly
     q0: UniPoly
     coords: tuple[UniPoly, ...]
+    group: tuple[int, ...] = ()
+    bases: tuple[UniPoly, ...] = ()
+    derivs: tuple[UniPoly, ...] = ()
 
 
 def solve_weighted_system(
@@ -103,41 +119,44 @@ def _solve_pair(w, rhs) -> Parametrization:
 
 
 def _solve_generic(w, rhs) -> Parametrization | None:
-    mats = _fiber_algebra(w, rhs)
-    if mats is None:
+    alg = _fiber_algebra(w, rhs)
+    if alg is None:
         return None
+    group, others, bases, gens, mats, derivs = alg
+    # the nilradical: with the squarefree part of T's minimal polynomial
+    # the ideal holds one in every variable, so it is radical (Seidenberg)
+    kry = _Krylov(mats[-1])
+    sf = squarefree_part(kry.min_poly)
+    if sf.degree < kry.min_poly.degree:
+        gens.append(kry.at_one(sf))
+    krylovs = [None] * len(others) + [kry]
+    if gens:
+        mats, proj = _quotient_by_ideal(mats, gens)
+        derivs = [proj(v) for v in derivs]
+        krylovs = None
+    q, q0, nums = _parametrize(mats, [[row[0] for row in M] for M in mats] + derivs, krylovs)
+    r = len(others)
+    coords = [nums[r]] * len(w)
+    for slot, k in enumerate(others):
+        coords[k] = nums[slot]
+    return Parametrization(q, q0, tuple(coords), tuple(group), bases, tuple(nums[r + 1:]))
 
-    # quotient by the ideal of the squarefree parts of the coordinates'
-    # minimal polynomials where those have repeated roots; it holds a
-    # squarefree univariate polynomial in every variable, so it is radical
-    # (Seidenberg) and the quotient is reduced
-    krylovs = [_Krylov(M) for M in mats]
-    nilpotent = []
-    for kry in krylovs:
-        sf = squarefree_part(kry.min_poly)
-        if sf.degree < kry.min_poly.degree:
-            nilpotent.append(kry.at_one(sf))
-    if nilpotent:
-        return _parametrize(_quotient_by_ideal(mats, nilpotent))
-    return _parametrize(mats, krylovs)
 
+def _parametrize(mats, vecs, krylovs=None):
+    """(q, q0, numerators): the values of the vectors vecs at A's points.
 
-def _parametrize(mats, krylovs=None) -> Parametrization:
-    """Rational parametrization of a reduced algebra's points.
-
-    mats are the coordinates' multiplication matrices, basis element 0 is
-    1; `krylovs`, when given, are their `_Krylov`s, so the single-coordinate
-    candidates reuse them.  The result depends on the algebra alone, not
-    on its basis.  A separating mu makes A = Q[mu]/(q), so z_i = g_i(mu)
-    for the g_i with z_i * 1 = g_i(mu) * 1, and z_i = q_i / q' at the
-    roots of q with q_i = g_i q' mod q.
+    A is a reduced algebra, mats are its coordinates' multiplication
+    matrices and basis element 0 is 1; `krylovs[i]`, when given and not
+    None, is coordinate i's `_Krylov`, which the single-coordinate
+    candidates reuse.  A separating mu makes A = Q[mu]/(q), so each v in
+    vecs is g(mu) * 1 for one g, and at the roots of q it takes the value
+    num / q0 with q0 = q' and num = g q0 mod q.  The result depends on the
+    algebra alone, not on its basis.
     """
-    d = len(mats)
     D = len(mats[0])
-    for cand in _separating_candidates(d, D):
-        if krylovs and sum(cand) == 1:  # the single coordinate cand.index(1)
-            kry = krylovs[cand.index(1)]
-        else:
+    for cand in _separating_candidates(len(mats), D):
+        kry = krylovs[cand.index(1)] if krylovs and sum(cand) == 1 else None
+        if kry is None:
             kry = _Krylov(_mat_combine(mats, cand, D))
         if kry.min_poly.degree == D:
             break
@@ -147,60 +166,74 @@ def _parametrize(mats, krylovs=None) -> Parametrization:
     q0 = q.derivative()
     if poly_gcd(q, q0).degree > 0:
         raise SolverError("separating form produced a non-squarefree eliminant")
-    coords = tuple(
-        divmod_poly(kry.express([row[0] for row in M]) * q0, q)[1] for M in mats
-    )
-    return Parametrization(q=q, q0=q0, coords=coords)
+    return q, q0, [divmod_poly(kry.express(v) * q0, q)[1] for v in vecs]
 
 
 def _fiber_algebra(w, rhs):
-    """Multiplication matrices of z_1..z_d on Q[z]/I, I the weighted system.
+    """A = B[T]/(f), whose points are the group's values over B's points.
 
     The largest group of m blocks with a common weight is solved through
     its elementary symmetric functions (`_newton_reduction`): with y the
-    other r = d - m unknowns, I = (e_i(x) - E_i(y)) + J for polynomials
-    E_i and r equations J in y alone.  So Q[z]/I is B[x]/(e_i(x) - E_i)
-    over B = Q[y]/J: the splitting algebra of t^m - E_1 t^(m-1) + ...,
-    free over B with the basis x_0^a_0 ... x_(m-1)^a_(m-1), a_k < m - k
-    (`_cauchy_reduce`).  Basis element (a, b) is x^a times B's element b.
+    other r = d - m unknowns, the system is e_i(x) = E_i(y) for polynomials
+    E_i, plus r equations J in y alone.  Over a point theta of B = Q[y]/J
+    the group's m values are the roots of f = T^m - E_1 T^(m-1) + ... +
+    (-1)^m E_m, so a point of A is one pair (theta, t).  A is free over B
+    with the basis T^j b, j < m, element j dim B + b: y_k's matrix repeats
+    B's down the diagonal, and T's is the block companion matrix of f, with
+    B's matrices of the E_i as blocks.  So y_k has the same minimal
+    polynomial on A as on B, where `_Krylov` finds it at dim B.
 
     B is Q for r = 0 and a companion matrix for r = 1, so neither needs a
-    Groebner basis; r >= 2 takes one of J from `_quotient_data`.  Basis
-    element 0 is 1.  None when the system has no complex solutions.
+    Groebner basis; r >= 2 takes one of J from `_quotient_data`.  Returns
+    (group, others, the squarefree parts of the y's minimal polynomials,
+    those parts applied to 1 in A where they are proper, A's matrices of
+    y_1..y_r and T, and the vectors of d^k f / dT^k, k = 1..m-1, in A).
+    Basis element 0 is 1.  None when the system has no complex solutions.
     """
     group, others, E, J = _newton_reduction(w, rhs)
     base = _base_algebra(J, len(others))
     if base is None:
         return None
     basis, bmats = base
-    DB = len(basis)
-    ME = [None] + [_base_matrix(ek, basis, bmats) for ek in E[1:]]
+    m, DB = len(group), len(basis)
+    D = m * DB
+    ME = [[[Fraction(int(r == c)) for c in range(DB)] for r in range(DB)]]
+    ME += [_base_matrix(ek, basis, bmats) for ek in E[1:]]
+    bases, gens = [], []
+    for M in bmats:
+        kry = _Krylov(M)
+        sf = squarefree_part(kry.min_poly)
+        bases.append(sf)
+        if sf.degree < kry.min_poly.degree:
+            gens.append(kry.at_one(sf) + [Fraction(0)] * (D - DB))
 
-    m = len(group)
-    alphas = list(product(*(range(m - k) for k in range(m))))
-    pos = {a: i for i, a in enumerate(alphas)}
-    D = len(alphas) * DB
-    steps = _cauchy_steps(m)
-    mats = [None] * len(w)
-    for slot, k in enumerate(others):
+    def blocks(parts):
+        """The D x D matrix with the DB x DB block parts[(i, j)] at (i, j)."""
         M = [[Fraction(0)] * D for _ in range(D)]
-        for off in range(0, D, DB):
+        for (i, j), blk in parts.items():
             for row in range(DB):
-                M[off + row][off:off + DB] = bmats[slot][row]
-        mats[k] = M
-    for slot, k in enumerate(group):
-        M = [[Fraction(0)] * D for _ in range(D)]
-        for a in alphas:
-            nxt = tuple(e + (s == slot) for s, e in enumerate(a))
-            for b in range(DB):
-                unit = [Fraction(int(i == b)) for i in range(DB)]
-                col = pos[a] * DB + b
-                for a2, v in _cauchy_reduce({nxt: unit}, m, ME, steps).items():
-                    off = pos[a2] * DB
-                    for row, x in enumerate(v):
-                        M[off + row][col] = x
-        mats[k] = M
-    return mats
+                M[i * DB + row][j * DB:(j + 1) * DB] = blk[row]
+        return M
+
+    # T^m = sum_i (-1)^(i+1) E_i T^(m-i)
+    companion = {(j + 1, j): ME[0] for j in range(m - 1)}
+    for i in range(1, m + 1):
+        companion[(m - i, m - 1)] = ME[i] if i % 2 else [[-x for x in row] for row in ME[i]]
+    mats = [blocks({(j, j): M for j in range(m)}) for M in bmats]
+    mats.append(blocks(companion))
+
+    # d^k f / dT^k = sum_i (-1)^i (m-i)!/(m-i-k)! E_i T^(m-i-k)
+    ones = [[row[0] for row in M] for M in ME]
+    derivs = []
+    for k in range(1, m):
+        v = [Fraction(0)] * D
+        for i in range(m - k + 1):
+            c = (-1) ** i * perm(m - i, k)
+            off = (m - i - k) * DB
+            for b, x in enumerate(ones[i]):
+                v[off + b] += c * x
+        derivs.append(v)
+    return group, others, tuple(bases), gens, mats, derivs
 
 
 def _newton_reduction(w, rhs):
@@ -321,66 +354,18 @@ def _monomial_images(basis, mats, v):
     return [out[mon] for mon in basis]
 
 
-def _cauchy_steps(m):
-    """Rewrite rules of the Cauchy modules, one list per group variable.
-
-    Module k is monic of degree m - k in x_k and involves x_0..x_k only:
-    x_k^(m-k) = sum_j (-1)^(j+1) e_j(x_k..x_(m-1)) x_k^(m-k-j), where
-    e_j(x_k..x_(m-1)) = sum_i (-1)^i h_i(x_0..x_(k-1)) E_(j-i).  Each entry
-    is (exponent shift, index t of E_t, sign) of one term.  The leading
-    terms are powers of distinct variables, so the modules are a Groebner
-    basis (Buchberger's first criterion).
-    """
-    steps = []
-    for k in range(m):
-        rules = []
-        for j in range(1, m - k + 1):
-            for i in range(j + 1):
-                for combo in combinations_with_replacement(range(k), i):
-                    shift = [combo.count(s) for s in range(k)] + [m - k - j]
-                    shift += [0] * (m - k - 1)
-                    rules.append((tuple(shift), j - i, (-1) ** (j + 1 + i)))
-        steps.append(rules)
-    return steps
-
-
-def _cauchy_reduce(poly: dict, m, ME, steps) -> dict:
-    """Normal form of sum_a x^a v_a (v_a in B) modulo the Cauchy modules.
-
-    Rewriting x_k^(m-k) lowers x_k and raises only x_0..x_(k-1), so the
-    largest monomial in the lex order that ranks x_(m-1) first is final
-    or rewritten into smaller ones; it is never met again.
-    """
-    out = {}
-    while poly:
-        a = max(poly, key=lambda e: e[::-1])
-        v = poly.pop(a)
-        k = next((k for k in reversed(range(m)) if a[k] >= m - k), None)
-        if k is None:
-            out[a] = v
-            continue
-        base = a[:k] + (a[k] - (m - k),) + a[k + 1:]
-        for shift, t, sign in steps[k]:
-            term = v if t == 0 else _mat_vec(ME[t], v)
-            b = tuple(x + y for x, y in zip(base, shift))
-            acc = poly.get(b)
-            if acc is None:
-                poly[b] = [sign * x for x in term]
-            else:
-                poly[b] = [x + sign * y for x, y in zip(acc, term)]
-    return out
-
-
 def _quotient_by_ideal(mats, gens):
-    """Multiplication matrices on A / (gens), gens given as vectors of A.
+    """(matrices, proj) on A / (gens), gens given as vectors of A.
 
     The ideal is the span of gens closed under every M_i.  A vector's
     multiples span the same line, so the closure runs over integer vectors
     and the integer matrices L_i M_i.  Its basis is kept in reduced echelon
     form: a row's pivot is its last nonzero entry, and every other row is
     zero there.  Element 0 (the unit) is a pivot only if 1 lies in the
-    ideal, so the quotient basis is the non-pivot elements, 0 first, and
-    pivot element p maps to -row_p / row_p[p] on them.
+    ideal, so the quotient basis is the non-pivot elements `keep`, 0 first,
+    and pivot element p maps to -row_p / row_p[p] on them.  `proj` maps a
+    vector of A to its class; column s of a quotient matrix is the class of
+    M e_keep[s].
     """
     D = len(mats[0])
     sparse = [
@@ -410,17 +395,20 @@ def _quotient_by_ideal(mats, gens):
     image = {k: {t: Fraction(1)} for t, k in enumerate(keep)}
     for p, row in rows.items():
         image[p] = {t: Fraction(-row[k], row[p]) for t, k in enumerate(keep) if row[k]}
-    out = []
+
+    def proj(v):
+        out = [Fraction(0)] * len(keep)
+        for j, x in enumerate(v):
+            if x:
+                for t, y in image[j].items():
+                    out[t] += x * y
+        return out
+
+    quotients = []
     for M in mats:
-        Q = [[Fraction(0)] * len(keep) for _ in keep]
-        for s, k in enumerate(keep):
-            for j in range(D):
-                x = M[j][k]
-                if x:
-                    for t, y in image[j].items():
-                        Q[t][s] += x * y
-        out.append(Q)
-    return out
+        cols = [proj([row[k] for row in M]) for k in keep]
+        quotients.append([list(row) for row in zip(*cols)])
+    return quotients, proj
 
 
 def _quotient_data(eqs, R):
@@ -579,28 +567,70 @@ class _Krylov:
 def ordered_real_solutions(par: Parametrization | None) -> list[AlgebraicPoint]:
     """Real solutions with weakly increasing coordinates.
 
-    The ordering test multiplies through by the denominator: with s0 the sign
-    of q0 at the root, z_i <= z_{i+1} holds iff s0 * sign(q_i - q_{i+1}) <= 0.
+    Without a group each real root of q is one solution.  For d >= 3 each
+    real root r is a point (theta, t) of A: y_k(r) is the root of bases[k]
+    that `root_index` finds, so the roots are grouped by theta exactly.
+    t's multiplicity as a root of f(theta, T) is one more than the number
+    of leading T-derivatives of f that vanish at r, and a theta whose real
+    values' multiplicities add up to m has all m values real.  Only one
+    order of them can be sorted, so the group's coordinates take them in
+    increasing order, each on its own root.  A coordinate outside the group
+    has the same value at every root over theta; it goes on the root of a
+    group neighbour with the same value, or else on the smallest value's,
+    so equal coordinates share a root.
+
+    Adjacent coordinates are compared at a root they share: with s0 the
+    sign of q0 there, z_i <= z_{i+1} iff s0 * sign(q_i - q_{i+1}) <= 0.
     """
     if par is None:
         return []
+    pairs = thom_rooted(par.q)
+    # snapshot before the tests below refine the roots
+    enclosures = {code: (r.poly, r.lo, r.hi) for code, r in pairs}
+    q0, coords, group = par.q0, par.coords, par.group
+    d = len(coords)
+    others = [(k, real_roots(b)) for k, b in zip(sorted(set(range(d)) - set(group)), par.bases)]
+    fibers: dict = {}
+    for code, r in pairs:
+        theta = tuple(root_index(coords[k], q0, r, roots) for k, roots in others)
+        fibers.setdefault(theta if group else code, []).append((code, r))
+
+    def order(u, v):
+        t = coords[group[0]]
+        return u[0] != v[0] and compare_values(t, q0, u[1], t, q0, v[1])
+
+    signs: dict = {}
+
+    def below(p, k, code, root):
+        """Sign of z_p - z_k at a root they share, each pair decided once."""
+        key = (min(p, k), max(p, k), code)
+        if key not in signs:
+            signs[key] = sign_at(coords[key[0]] - coords[key[1]], root) * sign_at(q0, root)
+        return signs[key] if p < k else -signs[key]
+
     out = []
-    for code, root in thom_rooted(par.q):
-        # snapshot before the sign tests below refine the root
-        enclosure = (root.poly, root.lo, root.hi)
-        s0 = sign_at(par.q0, root)
-        if s0 == 0:
-            raise SolverError("denominator vanished at a solution root")
-        ok = True
-        for i in range(len(par.coords) - 1):
-            si = sign_at(par.coords[i] - par.coords[i + 1], root)
-            if si * s0 > 0:
-                ok = False
-                break
-        if ok:
-            out.append(
-                AlgebraicPoint(par.q, par.q0, par.coords, code, enclosure=enclosure)
-            )
+    for members in fibers.values():
+        values = []
+        for code, r in members:
+            mu = 1 + next((k for k, g in enumerate(par.derivs) if sign_at(g, r)), len(par.derivs))
+            values += [(code, r)] * mu
+        if len(values) != max(len(group), 1):
+            continue
+        values.sort(key=cmp_to_key(order))
+        at = dict(zip(group, values))
+        if any(
+            below(p, p + 1, *(at.get(p) or at.get(p + 1) or values[0])) > 0
+            for p in range(d - 1)
+            if p not in at or p + 1 not in at
+        ):
+            continue
+        for p in set(range(d)) - set(group):
+            near = [max((g for g in group if g < p), default=None),
+                    min((g for g in group if g > p), default=None)]
+            hit = [at[g] for g in near if g is not None and not below(p, g, *at[g])]
+            at[p] = (hit + values)[0]
+        codes = tuple(at[p][0] for p in range(d))
+        out.append(AlgebraicPoint(par.q, q0, coords, codes, tuple(enclosures[c] for c in codes)))
     return out
 
 
@@ -624,16 +654,15 @@ class CanonicalPoint:
     point: AlgebraicPoint
 
     def embedded_point(self) -> AlgebraicPoint:
-        """The point in full coordinates, each numerator repeated per block."""
-        dup = []
-        for part, poly in zip(self.lam.parts, self.point.coords):
-            dup.extend([poly] * part)
+        """The point in full coordinates, each block's coordinate repeated."""
+        pt = self.point
+        idx = [i for i, part in enumerate(self.lam.parts) for _ in range(part)]
         return AlgebraicPoint(
-            q=self.point.q,
-            q0=self.point.q0,
-            coords=tuple(dup),
-            code=self.point.code,
-            enclosure=self.point.enclosure,
+            q=pt.q,
+            q0=pt.q0,
+            coords=tuple(pt.coords[i] for i in idx),
+            codes=tuple(pt.codes[i] for i in idx),
+            enclosures=pt.enclosures and tuple(pt.enclosures[i] for i in idx),
         )
 
 

@@ -185,7 +185,7 @@ def test_04_vandermonde_solver_minimality(power_sum_within, solves_system):
     # worked fixture: fiber over (0, 2) for three coordinates
     res = min_canonical(3, 2, (F(0), F(2)))
     assert res.lam == composition((1, 2))
-    assert power_sum_within(res.point, (1, 2), 3, -2 / math.sqrt(3), F(1, 10**9))
+    assert power_sum_within(res.point, (1, 2), (0, 2), 3, -2 / math.sqrt(3), F(1, 10**9))
 
     rng = random.Random(77)
     for _ in range(50):
@@ -203,7 +203,7 @@ def test_04_vandermonde_solver_minimality(power_sum_within, solves_system):
                    for i in range(len(coords) - 1))
         oracle = numeric_face_minimum(n, d, a)
         assert oracle is not None
-        assert power_sum_within(res.point, res.lam.parts, d + 1, oracle, F(1, 10**6))
+        assert power_sum_within(res.point, res.lam.parts, a, d + 1, oracle, F(1, 10**6))
     assert time.perf_counter() - t0 < 120.0
 
 

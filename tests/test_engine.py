@@ -535,8 +535,8 @@ def test_stand_in_depends_only_on_the_point():
     q, one = t**2 - 2, UniPoly.constant(1)
     root = real_roots(q)[1]
     root.refine_to(F(1, 2**15000))
-    fine = AlgebraicPoint(q, one, (t,), (1, 1), enclosure=(root.poly, root.lo, root.hi))
-    fresh = AlgebraicPoint(q, one, (t,), (1, 1))
+    fine = AlgebraicPoint(q, one, (t,), ((1, 1),), enclosures=((root.poly, root.lo, root.hi),))
+    fresh = AlgebraicPoint(q, one, (t,), ((1, 1),))
     for pt in (fine, fresh):
         rational, runs, clamped = engine_module._rational_embedding(pt, make_box(1, -2, 2))
         assert engine_module._point_json(rational) == ["1518500249/1073741824"]
@@ -553,7 +553,7 @@ def stand_in_points():
             pts.append(min_canonical(n, d, vandermonde_map(x, d)).embedded_point())
     t = UniPoly.variable()
     close = (t, t, t + F(1, 2**50))
-    pts.append(AlgebraicPoint(t**2 - 2, UniPoly.constant(1), close, (1, 1)))
+    pts.append(AlgebraicPoint(t**2 - 2, UniPoly.constant(1), close, ((1, 1),) * 3))
     return pts
 
 

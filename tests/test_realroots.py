@@ -328,7 +328,7 @@ def test_sign_at_root_matches_mpmath():
 def test_refine_worked_example():
     t = UniPoly.variable()
     pt = AlgebraicPoint(
-        q=t**2 - 2, q0=2 * t, coords=(t, 3 * t - 1), code=(1, 1)
+        q=t**2 - 2, q0=2 * t, coords=(t, 3 * t - 1), codes=((1, 1),) * 2
     )
     boxes = pt.refine(Fraction(1, 1000))
     x = (0.5, 1.5 - 2**0.5 / 4)
@@ -346,7 +346,7 @@ def rational_point(x):
         q=UniPoly.variable(),
         q0=UniPoly.constant(1),
         coords=tuple(UniPoly.constant(Fraction(c)) for c in x),
-        code=(1,),
+        codes=((1,),) * len(x),
     )
 
 
@@ -359,7 +359,7 @@ def test_refine_rejects_bad_eps():
 def test_algebraic_point_rejects_shared_root():
     t = UniPoly.variable()
     with pytest.raises(DomainError):
-        AlgebraicPoint(q=t**2 - 2, q0=t**2 - 2, coords=(t,), code=(1, 1))
+        AlgebraicPoint(q=t**2 - 2, q0=t**2 - 2, coords=(t,), codes=((1, 1),))
 
 
 def test_lift_rational_roundtrip(coordinate_sign):
@@ -374,7 +374,7 @@ def test_coordinate_signs_and_runs(coordinate_sign):
     t = UniPoly.variable()
     # coordinates (sqrt2, sqrt2, 2) at the positive root
     pt = AlgebraicPoint(q=t**2 - 2, q0=UniPoly.constant(1),
-                        coords=(t, t, UniPoly.constant(2)), code=(1, 1))
+                        coords=(t, t, UniPoly.constant(2)), codes=((1, 1),) * 3)
     assert pt.multiplicity_runs() == (2, 1)
     assert coordinate_sign(pt, 0) == 1
     assert coordinate_sign(pt, 2, offset=2) == 0

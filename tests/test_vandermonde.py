@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from symconn.realroots import (
     AlgebraicPoint,
     UniPoly,
     divmod_poly,
-    find_root,
+    dyadic_floor,
     poly_gcd,
     squarefree_part,
     thom_rooted,
@@ -75,7 +76,7 @@ def test_pair_worked_example(power_sum_within, solves_system):
     assert abs(x[1] - 1 / math.sqrt(3)) < 1e-9
     assert solves_system(pts[0], (1, 2), (0, 2))
     # p_3 = -8/(3 sqrt3) + 2/(3 sqrt3) = -2/sqrt3
-    assert power_sum_within(pts[0], (1, 2), 3, -2 / math.sqrt(3), F(1, 10**12))
+    assert power_sum_within(pts[0], (1, 2), (0, 2), 3, -2 / math.sqrt(3), F(1, 10**12))
 
 
 def test_pair_empty_fiber():
@@ -164,7 +165,7 @@ def test_min_canonical_worked_example(power_sum_within):
     x = approx(res.point)
     assert abs(x[0] + 2 / math.sqrt(3)) < 1e-9
     assert abs(x[1] - 1 / math.sqrt(3)) < 1e-9
-    assert power_sum_within(res.point, res.lam.parts, 3, -2 / math.sqrt(3), F(1, 10**9))
+    assert power_sum_within(res.point, res.lam.parts, (0, 2), 3, -2 / math.sqrt(3), F(1, 10**9))
 
 
 def test_min_canonical_empty():
@@ -184,7 +185,7 @@ def test_min_canonical_dominates_fiber_members(power_sum_sign, solves_system):
         assert res is not None
         assert solves_system(res.point, res.lam.parts, a)
         higher = vandermonde_map(x, d + 1)[d]
-        assert power_sum_sign(res.point, res.lam.parts, d + 1, higher) <= 0
+        assert power_sum_sign(res.point, res.lam.parts, a, d + 1, higher) <= 0
 
 
 def test_min_canonical_dominates_points_on_pattern_faces(power_sum_sign, solves_system):
@@ -199,7 +200,7 @@ def test_min_canonical_dominates_points_on_pattern_faces(power_sum_sign, solves_
         assert res is not None
         assert solves_system(res.point, res.lam.parts, a)
         higher = vandermonde_map(x, 4)[3]
-        assert power_sum_sign(res.point, res.lam.parts, 4, higher) <= 0
+        assert power_sum_sign(res.point, res.lam.parts, a, 4, higher) <= 0
 
 
 def test_min_canonical_degenerate_fiber_stays_on_pattern_faces(
@@ -214,7 +215,7 @@ def test_min_canonical_degenerate_fiber_stays_on_pattern_faces(
     assert res is not None
     assert res.lam == composition((1, 2, 1))
     assert solves_system(res.point, res.lam.parts, a)
-    assert power_sum_sign(res.point, res.lam.parts, 4, F(9, 4)) == 0
+    assert power_sum_sign(res.point, res.lam.parts, a, 4, F(9, 4)) == 0
     emb = res.point
     assert coordinate_sign(emb, 1, offset=F(1, 2)) == 0
 
@@ -229,7 +230,7 @@ def test_min_canonical_odd_degree_returns_family_extremum(power_sum_sign, solves
     assert res.lam == composition((1, 2, 1))
     assert solves_system(res.point, res.lam.parts, a)
     higher = vandermonde_map(x, 4)[3]
-    assert power_sum_sign(res.point, res.lam.parts, 4, higher) > 0
+    assert power_sum_sign(res.point, res.lam.parts, a, 4, higher) > 0
 
 
 def test_embedded_point_duplicates_blocks():
@@ -340,6 +341,49 @@ def test_one_unknown_solves_import_no_sympy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# -- the group's values: repeats and d = 5 ------------------------------------
+
+
+def floors(pt, m=64):
+    """floor(2^m z_i) for every coordinate, each at its own root."""
+    return tuple(dyadic_floor(c, pt.q0, pt.root(i), m) for i, c in enumerate(pt.coords))
+
+
+@pytest.mark.parametrize(
+    "n,d,x,face,runs",
+    [
+        (3, 3, (0, 0, 1), (1, 1, 1), (2, 1)),
+        (4, 3, (0, 0, 0, 1), (1, 2, 1), (3, 1)),
+        (4, 3, (1, 1, 1, 1), (1, 2, 1), (4,)),
+        (5, 4, (0, 0, 0, 0, 1), (1, 2, 1, 1), (4, 1)),
+        (5, 4, (1, 1, 1, 1, 1), (1, 1, 1, 2), (5,)),
+        (6, 5, (0,) * 6, (1, 1, 1, 2, 1), (6,)),
+    ],
+)
+def test_repeated_group_values(n, d, x, face, runs, solves_system):
+    # a group value repeats over a nontrivial B, or equals another block's
+    # value; each point lies on its face, so it is its own canonical point
+    a = vandermonde_map(x, d)
+    res = min_canonical(n, d, a)
+    assert res.lam.parts == face
+    assert solves_system(res.point, face, a)
+    emb = res.embedded_point()
+    assert emb.multiplicity_runs() == runs
+    assert tuple(F(k, 2**64) for k in floors(emb)) == tuple(map(F, x))
+
+
+def test_d5_fiber_solves_on_small_algebras(calls, solves_system):
+    # the splitting algebra of this fiber's group had dimension 72 after
+    # its nilradical pass; A = B[T]/(f) has at most m dim B = 20
+    algebras = calls(vandermonde_module, "_parametrize")
+    a = vandermonde_map((F(-1, 2), F(-1, 4), 0, 0, F(1, 4), F(1, 2)), 5)
+    res = min_canonical(6, 5, a)
+    assert res.lam == composition((1, 1, 1, 2, 1))
+    assert solves_system(res.point, res.lam.parts, a)
+    assert algebras and all(len(mats[0]) <= 20 for mats, *_ in algebras)
+
 
 # -- reference: resultants by remainder sequences ------------------------------
 #
@@ -595,6 +639,9 @@ def differential_cases():
 
 
 def test_equal_weight_solve_matches_the_full_system(calls):
+    # the reference parametrizes every solution on one root of its q; the
+    # solve under test puts each group value on its own root of another q,
+    # so the two are compared through their ordered real points
     cases = differential_cases()
     assert len(cases) >= 150
     assert {(1, 2, 1, 2), (1, 1, 1, 2), (1, 2, 1, 1), (1, 1, 1, 2, 1)} <= {
@@ -602,16 +649,27 @@ def test_equal_weight_solve_matches_the_full_system(calls):
     }
     radicals = calls(vandermonde_module, "_quotient_by_ideal")
     two_unknowns = calls(vandermonde_module, "_quotient_data")
-    ref_radicals = top = 0
+    bases = calls(vandermonde_module, "_base_algebra")
+    algebras = calls(vandermonde_module, "_parametrize")
+    ref_radicals = ref_top = 0
     for w, a in cases:
         want, radical = ref_solve_generic(w, a)
-        assert solve_weighted_system(w, a) == want, (w, a)
+        ref = ordered_real_solutions(want)
+        del bases[:], algebras[:]
+        got = fiber_points(w, a)
+        assert sorted((p.multiplicity_runs(), floors(p)) for p in got) == sorted(
+            (p.multiplicity_runs(), floors(p)) for p in ref
+        ), (w, a)
+        # A = B[T]/(f) has dimension m dim B before its nilradical pass
+        m = max(Counter(w).values())
+        (J, r), = bases
+        dim_b = len(vandermonde_module._base_algebra(J, r)[0])
+        assert all(len(mats[0]) <= m * dim_b for mats, *_ in algebras), (w, a)
         ref_radicals += radical
-        top = max(top, want.q.degree)
-    assert len(radicals) == ref_radicals > 0
-    assert top == 36
+        ref_top = max(ref_top, want.q.degree)
+    assert ref_radicals > 0 and radicals
+    assert ref_top == 36
     assert two_unknowns
-
 
 
 # -- reference: Krylov elimination over Fraction --------------------------------
@@ -738,46 +796,52 @@ def test_enclosure_is_taken_before_the_ordering_tests():
     q = t**2 - 2
     par = Parametrization(q, UniPoly.constant(1), (t, UniPoly.constant(F(141422, 100000))))
     _, pt = ordered_real_solutions(par)
-    assert pt.code == (1, 1)
-    ref = find_root(q, pt.code)
-    assert pt.enclosure[1:] == (ref.lo, ref.hi)
+    assert pt.codes == ((1, 1),) * 2
+    ref = dict(thom_rooted(q))[(1, 1)]
+    assert pt.enclosures[0][1:] == (ref.lo, ref.hi)
     assert ref.width() > F(1, 10**5)
     assert pt.coordinate_compare(0, 1) < 0
-    r = pt.root()
+    r = pt.root(1)
     assert (r.lo, r.hi) == (ref.lo, ref.hi)
 
 
 def test_points_carry_the_solver_enclosure(solver_points):
+    assert any(len(set(pt.codes)) > 1 for pt in solver_points)
     for pt in solver_points:
-        assert pt.enclosure is not None
-        r1, r2 = pt.root(), pt.root()
-        assert r1 is not r2
-        ref = find_root(pt.q, pt.code)
-        assert (r1.lo, r1.hi) == (ref.lo, ref.hi)
-        assert r1.poly == ref.poly
-        if not r1.is_exact():
-            r1.refine_to(r1.width() / 1024)
-            assert r1.width() < ref.width()
-        r3 = pt.root()
-        assert (r3.lo, r3.hi) == (ref.lo, ref.hi)
+        assert pt.enclosures is not None
+        found = dict(thom_rooted(pt.q))
+        for i, code in enumerate(pt.codes):
+            r1, r2 = pt.root(i), pt.root(i)
+            assert r1 is not r2
+            ref = found[code]
+            assert (r1.lo, r1.hi) == (ref.lo, ref.hi)
+            assert r1.poly == ref.poly
+            if not r1.is_exact():
+                r1.refine_to(r1.width() / 1024)
+                assert r1.width() < ref.width()
+            r3 = pt.root(i)
+            assert (r3.lo, r3.hi) == (ref.lo, ref.hi)
 
 
 def test_payload_roundtrip_ignores_the_enclosure(solver_points):
-    # the public constructor takes no enclosure, so the point rebuilt from
-    # its payload fields isolates its root again on first use
+    # the public constructor takes no enclosures, so the point rebuilt from
+    # its payload fields isolates its roots again on first use
     for pt in solver_points:
-        back = AlgebraicPoint(q=pt.q, q0=pt.q0, coords=pt.coords, code=pt.code)
-        assert back.enclosure is None
+        back = AlgebraicPoint(q=pt.q, q0=pt.q0, coords=pt.coords, codes=pt.codes)
+        assert back.enclosures is None
         assert back == pt and hash(back) == hash(pt)
         assert back.payload() == pt.payload()
-        r = back.root()
-        assert back.enclosure == pt.enclosure
-        assert (r.lo, r.hi) == pt.enclosure[1:]
+        assert back.payload()["codes"] == [list(c) for c in pt.codes]
+        r = back.root(pt.dim - 1)
+        assert back.enclosures == pt.enclosures
+        assert (r.lo, r.hi) == pt.enclosures[-1][1:]
 
 
 def test_embedded_point_carries_the_enclosure():
     res = min_canonical(5, 4, BALL_D4[1])
     assert res.lam == composition((1, 2, 1, 1))
     emb = res.embedded_point()
-    assert emb.enclosure is not None
-    assert emb.enclosure == res.point.enclosure
+    assert emb.enclosures is not None
+    blocks = [0, 1, 1, 2, 3]
+    assert emb.enclosures == tuple(res.point.enclosures[k] for k in blocks)
+    assert emb.codes == tuple(res.point.codes[k] for k in blocks)
