@@ -130,6 +130,30 @@ def _cmd_wall(args) -> int:
     return 0 if v.connected else 1
 
 
+def _rounded_power_sum(point, k: int) -> Fraction:
+    """p_k at an algebraic point, rounded half to even to 9 decimals.
+
+    p_k is bounded by interval arithmetic over enclosures of the
+    coordinates, tightened until both ends of the bound round alike, so
+    the digits do not depend on the enclosures the point came with.  A
+    bound that still straddles a rounding tie at width 10^-96 is taken to
+    be that tie, which is where a rational p_k such as 1401/1024 stays.
+    """
+    eps = Fraction(1, 10**12)
+    while True:
+        lo = hi = Fraction(0)
+        for a, b in point.refine(eps):
+            ends = sorted((a**k, b**k))
+            lo += 0 if k % 2 == 0 and a < 0 < b else ends[0]
+            hi += ends[1]
+        down, up = round(lo, 9), round(hi, 9)
+        if down == up:
+            return down
+        if eps < Fraction(1, 10**90):
+            return round((down + up) / 2, 9)
+        eps = eps**2
+
+
 def _cmd_min_canonical(args) -> int:
     pf = _load_problem(args.system)
     x = _resolve_point(args.x, pf, "x")
@@ -151,7 +175,7 @@ def _cmd_min_canonical(args) -> int:
             "point_decimal": _decimal_json(point),
             "point_exact": emb.payload(),
             "minimized_power_sum": sys_.d + 1,
-            "value_decimal": round(float(sum(v ** (sys_.d + 1) for v in point)), 9),
+            "value_decimal": float(_rounded_power_sum(emb, sys_.d + 1)),
         }
     )
     return 0

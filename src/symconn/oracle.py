@@ -11,7 +11,8 @@ pretending the result is exact.
 
 Cell centers are tested with these conventions, in exact integer
 arithmetic after clearing the denominators of the centers and of each
-constraint:
+constraint (each axis's center numerators are an integer progression over
+one common denominator):
 
   * GE constraints are taken as written, g >= 0.
   * EQ constraints are thickened to |g| <= delta, so a codimension-one set
@@ -20,9 +21,10 @@ constraint:
   * GT constraints are shrunk to g >= pitch, a margin of one pitch, so
     open sets lose a one-cell margin and cannot leak through a pinch point.
 
-A region that carries the chamber ordering z1 <= ... <= zl on a box with
-the same range on every axis walks only its sorted cells, the weakly
-increasing index tuples; the cells it skips fail the ordering anyway.
+A region that carries the chamber ordering z1 <= ... <= zl, each step as
+the atom z_{k+1} - z_k >= 0 read off its terms, on a box with the same
+range on every axis walks only its sorted cells, the weakly increasing
+index tuples; the cells it skips fail the ordering anyway.
 The walk fixes one axis at a time and bounds every constraint over all
 the cells below the fixed prefix, in the same integer arithmetic: a
 prefix on which a constraint certainly fails is skipped whole, one on
@@ -223,6 +225,20 @@ def _interval_mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
     return min(ends), max(ends)
 
 
+def _chamber_step(atom: Atom) -> int | None:
+    """Axis k when the atom is exactly the chamber step from axis k to k + 1.
+
+    That is z_{k+2} - z_{k+1} >= 0 in the 1-based variables: coefficients
+    +1 and -1 on the two adjacent variables, nothing else, relation GE.
+    """
+    poly, rel = atom
+    if rel is not Relation.GE or len(poly.terms) != 2:
+        return None
+    ends = {c: exp.index(1) for exp, c in poly.terms.items() if sum(exp) == 1}
+    k = ends.get(-1)
+    return k if k is not None and ends.get(1) == k + 1 else None
+
+
 class _Atom:
     """One constraint compiled against one grid's integer centers.
 
@@ -243,14 +259,20 @@ class _Atom:
 class _Grid:
     """Classification of one region at one fixed pitch.
 
-    Cells are tested in integer arithmetic.  Every cell center is a / D
-    for one common denominator D, and an atom g of total degree t is
-    compiled to the integer polynomial L * D^t * g, where L clears its
-    coefficient denominators; each cell test of the module docstring
-    (g >= 0, |g| <= delta, g >= pitch) then compares integers,
-    g * den >= thr or |g| * den <= thr with thr scaled by the same
-    L * D^t.  As g is an integer, these are the integer intervals
+    Cells are tested in integer arithmetic.  Center i on axis k is
+    (a_k + (2i + 1) b_k) / D, where a_k / D is the box's lower corner and
+    b_k / D half the cell width over one common denominator D, so `nums`
+    holds each axis's numerators as an integer progression and only
+    `center_of` builds `Fraction`s, for the representatives.  An atom g
+    of total degree t is compiled to the integer polynomial L * D^t * g,
+    where L clears its coefficient denominators; each cell test of the
+    module docstring (g >= 0, |g| <= delta, g >= pitch) then compares
+    integers, g * den >= thr or |g| * den <= thr with thr scaled by the
+    same L * D^t.  As g is an integer, these are the integer intervals
     [ceil(thr / den), inf) and [-floor(thr / den), floor(thr / den)].
+    Every comparison scales by the same D^t, so any common D gives the
+    same cells.  The chamber atoms that allow a sorted walk are
+    recognized from their terms (`_chamber_step`).
 
     The walk fixes the axes in order, visiting prefixes lexicographically.
     Below a fixed prefix every undecided atom is bounded over all the
@@ -285,24 +307,21 @@ class _Grid:
         delta = _effective_delta(cfg, h)
         lo, hi = region.box
         self.lo = lo
-        m: list[int] = []
-        widths: list[Fraction] = []
-        centers: list[list[Fraction]] = []
+        m = [-((lo[k] - hi[k]) // h) or 1 for k in range(dim)]
+        widths = [(hi[k] - lo[k]) / m[k] for k in range(dim)]
+        # center i on axis k is (a + (2i + 1) b) / D with a / D = lo_k and
+        # b / D = w_k / 2, so the numerators are a progression of step 2b
+        halves = [w / 2 for w in widths]
+        D = math.lcm(*(c.denominator for c in (*lo, *halves)))
+        nums = []
         for k in range(dim):
-            span = hi[k] - lo[k]
-            if span == 0:
-                m.append(1)
-                widths.append(Fraction(0))
-                centers.append([lo[k]])
-                continue
-            count = int(-((-span) // h))
-            w = span / count
-            m.append(count)
-            widths.append(w)
-            centers.append([lo[k] + w * Fraction(2 * i + 1, 2) for i in range(count)])
+            a = lo[k].numerator * (D // lo[k].denominator)
+            b = halves[k].numerator * (D // halves[k].denominator)
+            nums.append(list(range(a + b, a + b + 2 * b * m[k], 2 * b)) if b else [a])
         self.m = m
         self.widths = widths
-        self.centers = centers
+        self.nums = nums
+        self.D = D
         strides = [0] * dim
         s = 1
         for k in reversed(range(dim)):
@@ -312,12 +331,11 @@ class _Grid:
 
         # on a uniform box the chamber atoms hold exactly on the weakly
         # increasing index tuples, so only those cells are walked
-        chamber = set(chamber_atoms(dim))
-        sorted_walk = chamber <= set(region.requires) and all(c == centers[0] for c in centers)
-        requires = [a for a in region.requires if not (sorted_walk and a in chamber)]
+        uniform = all(c == nums[0] for c in nums)
+        steps = [_chamber_step(a) if uniform else None for a in region.requires]
+        self.sorted_walk = sorted_walk = uniform and set(steps) >= set(range(dim - 1))
+        requires = [a for a, k in zip(region.requires, steps) if not sorted_walk or k is None]
 
-        D = math.lcm(*(c.denominator for axis in centers for c in axis))
-        nums = [[c.numerator * (D // c.denominator) for c in axis] for axis in centers]
         powers: dict[tuple[int, int], list[int]] = {}
         for poly, _ in requires:
             for exp in poly.terms:
@@ -491,7 +509,7 @@ class _Grid:
         return tuple((flat // self.strides[k]) % self.m[k] for k in range(self.dim))
 
     def center_of(self, idx: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(self.centers[k][idx[k]] for k in range(self.dim))
+        return tuple(Fraction(self.nums[k][idx[k]], self.D) for k in range(self.dim))
 
     def cell_of(self, x: Sequence) -> tuple[int, ...]:
         """Index of the cell containing x, clamped to the box."""

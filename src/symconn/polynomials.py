@@ -311,9 +311,9 @@ def make_box(n: int, lo, hi) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]
 
 def chamber_atoms(dim: int) -> tuple[tuple[ExpandedPoly, Relation], ...]:
     """The chamber ordering z_1 <= ... <= z_dim as GE atoms z_{k+1} - z_k >= 0."""
+    unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
     return tuple(
-        (ExpandedPoly.variable(dim, k + 1) - ExpandedPoly.variable(dim, k), Relation.GE)
-        for k in range(1, dim)
+        (ExpandedPoly(dim, {unit[k]: 1, unit[k - 1]: -1}), Relation.GE) for k in range(1, dim)
     )
 
 

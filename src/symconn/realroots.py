@@ -16,7 +16,9 @@ Horner never build a `Fraction`.  A sign at a root is decided by interval
 Horner over the enclosure first; the gcd that detects a zero is computed
 only when that cannot decide.  `dyadic_floor` rounds a value at a root
 down onto the 2^-m grid, exactly.  Greatest common divisors first test
-coprimality modulo the prime 2^61 - 1 and fall back to Euclid over Q.
+coprimality modulo the prime 2^61 - 1 and fall back to a primitive
+remainder sequence on integers.  The Sturm chain is such a sequence,
+scaled only by positive factors, so it keeps the rational chain's signs.
 """
 
 from __future__ import annotations
@@ -317,11 +319,22 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return divmod_poly(p, g)[0].monic()
 
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        chain.append(-rem)
+def sturm_chain(p: UniPoly) -> list[list[int]]:
+    """Sturm sequence of p as integer vectors, low to high.
+
+    Element i is a positive multiple of the rational chain's p_i, where
+    p_0 = p, p_1 = p' and p_{i+1} = -rem(p_{i-1}, p_i): each remainder is
+    taken on integers, scaled only by positive factors, and divided by its
+    positive content, as in `poly_gcd`.  Every sign, and so every sign
+    variation, is the rational chain's, but the coefficients stay small.
+    """
+    a = _primitive(p._integer_form()[0])
+    chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
+    while chain[-1]:
+        r = _int_divmod(chain[-2], chain[-1])[1]
+        while r and not r[-1]:
+            r.pop()
+        chain.append(_primitive([-x for x in r]))
     chain.pop()
     return chain
 
@@ -332,14 +345,10 @@ def _variations(signs) -> int:
 
 
 def _variations_at_inf(chain, direction: int) -> int:
-    signs = []
-    for q in chain:
-        if q.is_zero():
-            signs.append(0)
-        else:
-            s = _sign(q.leading())
-            signs.append(s if direction > 0 or q.degree % 2 == 0 else -s)
-    return _variations(signs)
+    """Sign variations of an integer Sturm chain at +inf or -inf."""
+    return _variations(
+        [_sign(q[-1]) if direction > 0 or len(q) % 2 else -_sign(q[-1]) for q in chain]
+    )
 
 
 def count_real_roots(p: UniPoly) -> int:
@@ -377,7 +386,7 @@ def _isolate(sf: UniPoly) -> list[tuple[Fraction, Fraction]]:
     if sf.degree < 1:
         return []
     ints = sf._integer_form()[0]
-    chain = [q._integer_form()[0] for q in sturm_chain(sf)]
+    chain = sturm_chain(sf)
     out: list[tuple[Fraction, Fraction]] = []
 
     def var(x, s):

@@ -30,7 +30,6 @@ from .oracle import (
     face_region,
     point_feasible,
     resolve_region,
-    sample_components,
 )
 from .polynomials import FaceSystem, block_substitute, chamber_atoms
 
@@ -160,19 +159,17 @@ def build_union_graph(
     first: list[int] = []
     resolutions: list[RegionResolution] = []
     for i, face in enumerate(faces):
-        region = face_region(face)
+        res = resolve_region(face_region(face), cfg)
         first.append(len(vertices))
-        vertices.extend(
-            ComponentVertex(i, embed(face.lam, z)) for z in sample_components(region, cfg)
-        )
-        resolutions.append(resolve_region(region, cfg))
+        vertices.extend(ComponentVertex(i, embed(face.lam, z)) for z in res.representatives)
+        resolutions.append(res)
     edges: set[tuple[int, int]] = set()
     for i, j in combinations(range(len(faces)), 2):
         made = intersection_region(faces[i], faces[j])
         if made is None:
             continue
         region, mu = made
-        for z in sample_components(region, cfg):
+        for z in resolve_region(region, cfg).representatives:
             x = embed(mu, z)
             us = _face_classes(resolutions[i], faces[i].lam, x)
             ws = _face_classes(resolutions[j], faces[j].lam, x)

@@ -1,10 +1,14 @@
 import json
 import pathlib
 import shutil
+from fractions import Fraction
 
 import pytest
 
-from symconn.cli import build_parser, main
+from symconn.cli import _rounded_power_sum, build_parser, main
+from symconn.polynomials import vandermonde_map
+from symconn.realroots import AlgebraicPoint
+from symconn.vandermonde import min_canonical
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -137,6 +141,35 @@ def test_min_canonical_fields(capsys):
     assert doc["type"] == [1, 2]
     assert len(doc["point_decimal"]) == 3
     assert doc["minimized_power_sum"] == 3
+
+
+def blob4_min_canonical(capsys, x):
+    code, out, _ = run(capsys, "min-canonical", fx("blob4-d3.json"), json.dumps(x))
+    assert code == 0
+    cp = min_canonical(4, 3, vandermonde_map(tuple(Fraction(v) for v in x), 3))
+    return json.loads(out)["value_decimal"], cp.embedded_point()
+
+
+def test_min_canonical_value_is_the_rounded_power_sum(capsys):
+    value, point = blob4_min_canonical(capsys, ["-1/2", "-1/2", "1/4", "1"])
+    approx = sum(v**4 for v in point.approx(Fraction(1, 10**40)))
+    assert value == float(round(approx, 9)) == 1.384202556
+
+
+def test_min_canonical_value_on_a_rounding_tie(capsys):
+    # The min-canonical point's outer coordinates are one rational
+    # function at the two conjugate roots of a quadratic factor of q, and
+    # the middle ones are -1/8, so p_4 is rational: 1401/1024 =
+    # 1.3681640625, a tie at 9 decimals.  Every enclosure bound straddles
+    # it, and midpoint sums round to either side.  The value is the tie
+    # rounded half to even, whatever enclosures the point carries.
+    value, point = blob4_min_canonical(capsys, ["-1", "-1/4", "0", "3/4"])
+    tie = Fraction(1401, 1024)
+    ends = [sorted((a**4, b**4)) for a, b in point.refine(Fraction(1, 10**40))]
+    assert sum(lo for lo, _ in ends) < tie < sum(hi for _, hi in ends)
+    assert value == float(round(tie, 9)) == 1.368164062
+    fresh = AlgebraicPoint(point.q, point.q0, point.coords, point.codes)
+    assert _rounded_power_sum(fresh, 4) == _rounded_power_sum(point, 4) == round(tie, 9)
 
 
 @pytest.mark.parametrize(

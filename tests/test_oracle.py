@@ -17,6 +17,7 @@ from symconn.errors import DomainError, PreconditionError
 from symconn.oracle import (
     OracleConfig,
     Region,
+    _chamber_step,
     _Grid,
     brute_force_connected,
     connected,
@@ -304,6 +305,19 @@ def test_conjunction_builds_intersection():
 # -- differential check of the grid kernel ------------------------------------
 
 
+def reference_centers(box, h):
+    """Cell centers lo + (2i + 1) w / 2 of every axis, as `Fraction`s."""
+    centers = []
+    for a, b in zip(*box):
+        if a == b:
+            centers.append([a])
+            continue
+        count = -((a - b) // h)
+        w = (b - a) / count
+        centers.append([a + w * F(2 * i + 1, 2) for i in range(count)])
+    return centers
+
+
 def reference_classes(region, cfg, h):
     """Per-cell classification with `ExpandedPoly.eval` on `Fraction`s.
 
@@ -323,14 +337,7 @@ def reference_classes(region, cfg, h):
             return v >= h
         return v >= 0
 
-    centers = []
-    for a, b in zip(*region.box):
-        if a == b:
-            centers.append([a])
-            continue
-        count = -((a - b) // h)
-        w = (b - a) / count
-        centers.append([a + w * F(2 * i + 1, 2) for i in range(count)])
+    centers = reference_centers(region.box, h)
     feasible = set()
     for idx in itertools.product(*(range(len(c)) for c in centers)):
         c = tuple(axis[i] for axis, i in zip(centers, idx))
@@ -578,20 +585,95 @@ def test_pruning_skips_most_of_the_brute_force_ball():
     assert grid.tested <= walked // 4
 
 
+# -- grid set-up ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "box,h",
+    [
+        (((F(-2), F(1, 3), F(5, 7)), (F(3, 2), F(1, 3), F(9, 4))), F(1, 3)),  # zero span
+        (((F(-4, 3), F(-2, 5)), (F(6, 7), F(5, 3))), F(2, 7)),  # non-uniform
+        (((F(-7, 2),) * 3, (F(-1, 6),) * 3), F(1, 2)),  # negative lo, uniform
+        (((F(1, 2),), (F(7, 2),)), F(1)),  # integer centers
+    ],
+)
+def test_integer_centers_are_the_cell_centers(box, h):
+    region = Region(dim=len(box[0]), requires=(), box=box)
+    grid = _Grid(region, OracleConfig(), h)
+    centers = reference_centers(box, h)
+    assert [[F(c, grid.D) for c in axis] for axis in grid.nums] == centers
+    assert grid.m == [len(axis) for axis in centers]
+    last = tuple(c - 1 for c in grid.m)
+    assert grid.center_of(last) == tuple(F(axis[-1], grid.D) for axis in grid.nums)
+
+
+def test_chamber_steps_are_recognized_from_their_terms():
+    dim = 3
+    steps = [(var(dim, k + 1) - var(dim, k), Relation.GE) for k in range(1, dim)]
+    assert [_chamber_step(a) for a in steps] == [0, 1]
+    assert [_chamber_step(a) for a in chamber_atoms(dim)] == [0, 1]
+    near_misses = [
+        ((var(dim, 2) - var(dim, 1)).scale(2), Relation.GE),
+        (var(dim, 2) - var(dim, 1), Relation.GT),
+        (var(dim, 2) - var(dim, 1), Relation.EQ),
+        (var(dim, 1) - var(dim, 2), Relation.GE),
+        (var(dim, 3) - var(dim, 1), Relation.GE),
+        (var(dim, 2) - var(dim, 1) + 1, Relation.GE),
+        (var(dim, 2) ** 2 - var(dim, 1), Relation.GE),
+        (var(dim, 2) + var(dim, 1), Relation.GE),
+    ]
+    assert [_chamber_step(a) for a in near_misses] == [None] * len(near_misses)
+    # the step z3 - z2 >= 0 missing, or present only as a near miss
+    z32 = var(dim, 3) - var(dim, 2)
+    box = ((F(-1),) * dim, (F(1),) * dim)
+    for requires, sorted_walk in [
+        (steps, True),
+        (steps[::-1] + steps[:1], True),  # any order, repeats allowed
+        (steps[:1], False),
+        (steps[:1] + [(z32.scale(2), Relation.GE)], False),
+        (steps[:1] + [(z32, Relation.GT)], False),
+        (steps[:1] + [(z32.scale(-1), Relation.GE)], False),
+    ]:
+        region = Region(dim=dim, requires=tuple(requires), box=box)
+        assert _Grid(region, OracleConfig(), F(1, 2)).sorted_walk is sorted_walk
+
+
+def test_sorted_walk_detection_matches_the_chamber_atom_set():
+    rng = random.Random(23)
+    picked = 0
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        chamber = list(chamber_atoms(dim))
+        near = [
+            (a.scale(rng.choice((2, -1))), Relation.GE) if rng.random() < 0.5 else (a, Relation.GT)
+            for a, _ in chamber
+        ]
+        requires = [random_atom(rng, dim)]
+        requires += [a for a in chamber if rng.random() < 0.8]
+        requires += [a for a in near if rng.random() < 0.3]
+        rng.shuffle(requires)
+        uniform = rng.random() < 0.8
+        region = random_region(rng, dim, False, uniform, rng.random() < 0.1)
+        region = Region(dim=dim, requires=tuple(requires), box=region.box)
+        centers = reference_centers(region.box, F(1, 2))
+        expected = all(c == centers[0] for c in centers) and set(chamber) <= set(requires)
+        assert _Grid(region, OracleConfig(), F(1, 2)).sorted_walk is expected
+        picked += expected
+    assert 20 < picked < 180
+
+
 # -- grid golden digest ---------------------------------------------------------
 
-# SHA-256 over the final grid of every region the top-level fixtures
-# classify: the face regions of each union graph, the regions where its
-# faces meet, and the full-space region of the brute-force reference, at
-# the fixture's config.  Each grid contributes its final pitch, its sorted
-# feasible cells, its class count and its representatives.  It guards the
-# grids, not the speed of building them; the value was computed with the
-# walk that tested every cell center, before the pruned walk replaced it.
-GRID_DIGEST = "073f4206e2d31d99d276157102feec30340e5b848f8855cad6e4e888a6944dbf"
 
+@pytest.fixture(scope="module")
+def fixture_grids():
+    """(file name, final grid) of every region the top-level fixtures classify.
 
-def test_grid_golden_digest():
-    digest = hashlib.sha256()
+    Those are the face regions of each union graph, the regions where its
+    faces meet, and the full-space region of the brute-force reference, at
+    the fixture's config.
+    """
+    out = []
     for path in sorted(FIXTURES.glob("*.json")):
         pf = parse_problem(path.read_bytes())
         cfg = build_config(pf.config)
@@ -602,15 +684,36 @@ def test_grid_golden_digest():
             if made is not None:
                 regions.append(made[0])
         regions.append(full_space_region(pf.system))
-        for region in regions:
-            grid = resolve_region(region, cfg)._grid
-            record = {
-                "h": str(grid.h),
-                "cells": sorted(grid.unflatten(f) for f in grid.feasible),
-                "classes": grid.class_count,
-                "reps": [[str(c) for c in r] for r in grid.representatives],
-            }
-            digest.update(f"{path.name} ".encode())
-            digest.update(json.dumps(record).encode())
-            digest.update(b"\n")
+        out += [(path.name, resolve_region(region, cfg)._grid) for region in regions]
+    return out
+
+
+# SHA-256 over the final grids of `fixture_grids`.  Each grid contributes
+# its final pitch, its sorted feasible cells, its class count and its
+# representatives.  It guards the grids, not the speed of building them;
+# the value was computed with the walk that tested every cell center,
+# before the pruned walk replaced it.
+GRID_DIGEST = "073f4206e2d31d99d276157102feec30340e5b848f8855cad6e4e888a6944dbf"
+
+
+def test_grid_golden_digest(fixture_grids):
+    digest = hashlib.sha256()
+    for name, grid in fixture_grids:
+        record = {
+            "h": str(grid.h),
+            "cells": sorted(grid.unflatten(f) for f in grid.feasible),
+            "classes": grid.class_count,
+            "reps": [[str(c) for c in r] for r in grid.representatives],
+        }
+        digest.update(f"{name} ".encode())
+        digest.update(json.dumps(record).encode())
+        digest.update(b"\n")
     assert digest.hexdigest() == GRID_DIGEST
+
+
+def test_fixture_grids_test_as_many_centers(fixture_grids):
+    # The digest cannot tell a sorted walk from a product walk that finds
+    # the same cells; the number of centers tested can.  A face region
+    # that fell back to the product walk would test more of them.
+    assert len(fixture_grids) == 28
+    assert sum(grid.tested for _, grid in fixture_grids) == 105_782

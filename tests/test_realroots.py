@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -425,8 +426,17 @@ def ref_variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def ref_sturm_chain(p: UniPoly) -> list[UniPoly]:
+    """Euclid's Sturm sequence over Q: p, p', then each negated remainder."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-divmod_poly(chain[-2], chain[-1])[1])
+    chain.pop()
+    return chain
+
+
 def ref_isolate(sf: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    chain = realroots.sturm_chain(sf)
+    chain = ref_sturm_chain(sf)
     bound = root_bound(sf)
     out = []
 
@@ -593,6 +603,56 @@ def test_root_kernel_matches_fraction_reference():
                 assert got == ref_rational_function_interval(num, den, ref, width)
                 assert (r.lo, r.hi) == (ref.lo, ref.hi)
     assert isolated_hits and refined_hits and zeros
+
+
+def test_sturm_chain_is_a_positive_multiple_of_the_rational_one():
+    rng = random.Random(49)
+    polys = [sf for sf, _ in kernel_cases()]
+    for _ in range(20):
+        f, g = random_poly(rng, 4), random_poly(rng, 3)
+        polys.append(f * f * g)  # not squarefree: the chain ends at gcd(p, p')
+    for p in polys:
+        chain, ref = realroots.sturm_chain(p), ref_sturm_chain(p)
+        assert len(chain) == len(ref)
+        for q, r in zip(chain, ref):
+            ratio = q[-1] / r.leading()
+            assert ratio > 0
+            assert [Fraction(c) for c in q] == [ratio * c for c in r.coeffs]
+            assert math.gcd(*q) == 1
+
+
+def test_isolation_matches_the_rational_sturm_chain():
+    rng = random.Random(50)
+    isolated = 0
+    for _ in range(40):
+        sf = squarefree_part(random_poly(rng, 6) * random_poly(rng, 6))
+        ivs = realroots._isolate(sf)
+        assert ivs == ref_isolate(sf)
+        isolated += len(ivs)
+    assert isolated
+
+
+def test_sturm_chain_coefficients_stay_small():
+    # 15 rational roots times a degree-15 factor: the rational chain's
+    # coefficients reach about 29,000 bits.  Every primitive remainder is
+    # the primitive part of a subresultant of p and p', an integer
+    # determinant of order at most 2n - 1 whose rows have norm at most
+    # n * ||p||, hence at most (2n - 1) * log2(n * ||p||) bits (Hadamard).
+    t = UniPoly.variable()
+    rng = random.Random(30)
+    roots = set()
+    while len(roots) < 15:
+        roots.add(Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
+    p = t**15 - 3 * t**7 + 2 * t - 5
+    for r in sorted(roots):
+        p = p * (t - r)
+    n = p.degree
+    assert n == 30
+    top = max(abs(c) for c in realroots._primitive(p._integer_form()[0])).bit_length()
+    bound = (2 * n - 1) * (2 * n.bit_length() + top)
+    chain = realroots.sturm_chain(p)
+    assert len(chain) == n + 1
+    assert max(abs(c).bit_length() for q in chain for c in q) <= bound
 
 
 def test_width_must_be_positive():

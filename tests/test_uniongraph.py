@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from symconn import oracle
 from symconn.compositions import composition, embed, extremal_compositions
 from symconn.errors import DomainError, LocateFailure, PreconditionError
 from symconn.oracle import OracleConfig, face_region, resolve_region, sample_components
@@ -214,6 +215,17 @@ def test_cross_composition_graph_shape():
     # neither face contains the other, so every vertex locates to itself
     for k, v in enumerate(g.vertices):
         assert locate_vertex(g, v.representative, g.faces[v.face].lam) == k
+
+
+def test_build_resolves_each_region_once():
+    # one lookup per face region and per region where two faces meet
+    faces = [restrict(ball_d4(6), lam) for lam in extremal_compositions(6, 4)]
+    met = sum(intersection_region(a, b) is not None for a, b in itertools.combinations(faces, 2))
+    assert met
+    oracle._resolve_cached.cache_clear()
+    build_union_graph(faces, OracleConfig(h=F(1, 4), max_depth=1))
+    info = oracle._resolve_cached.cache_info()
+    assert info.hits + info.misses == len(faces) + met
 
 
 def test_locate_in_cross_composition_graph():
