@@ -120,9 +120,9 @@ def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...]
     2^-m grid, c = floor(x 2^m) / 2^m, decided exactly.  m starts at 30 and
     grows by 8 until the runs' values strictly increase.  So the stand-in
     depends only on the point, not on the parametrization or the enclosure
-    that gave it.  Each run value is clamped into the box, so a point
-    sitting exactly on the boundary cannot drift outside by rounding.  As
-    c <= x < c + 2^-m, a clamp that moves a run value by more than 2^-m
+    that gave it.  Each run value is clamped into the box [lo, hi]^n, so a
+    point sitting exactly on the boundary cannot drift outside by rounding.
+    As c <= x < c + 2^-m, a clamp that moves a run value by more than 2^-m
     means the point itself leaves the box; each such run is reported as
     (first coordinate, stand-in value, box bound).
     """
@@ -140,15 +140,13 @@ def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...]
             break
         m += 8
     eps = Fraction(1, 1 << m)
-    lo, hi = box
+    lo, hi = box[0][0], box[1][0]
     out: list[Fraction] = []
     clamped = []
     pos = 0
     for r, k in zip(runs, ks):
         v = Fraction(k, 1 << m)
-        a = max(lo[pos : pos + r])
-        b = min(hi[pos : pos + r])
-        c = min(max(v, a), b)
+        c = min(max(v, lo), hi)
         if abs(c - v) > eps:
             clamped.append((pos + 1, v, c))
         out.extend([c] * r)

@@ -21,10 +21,10 @@ one common denominator):
   * GT constraints are shrunk to g >= pitch, a margin of one pitch, so
     open sets lose a one-cell margin and cannot leak through a pinch point.
 
-A region that carries the chamber ordering z1 <= ... <= zl, each step as
-the atom z_{k+1} - z_k >= 0 read off its terms, on a box with the same
-range on every axis walks only its sorted cells, the weakly increasing
-index tuples; the cells it skips fail the ordering anyway.
+A chamber region (`Region.chamber`) also requires the ordering
+z1 <= ... <= zl on a box with the same range on every axis, so it walks
+only its sorted cells, the weakly increasing index tuples; every other
+cell fails the ordering.
 The walk fixes one axis at a time and bounds every constraint over all
 the cells below the fixed prefix, in the same integer arithmetic: a
 prefix on which a constraint certainly fails is skipped whole, one on
@@ -38,8 +38,9 @@ runs that overlap between neighboring rows.
 Query points (arguments of `connected`) get the laxer `Relation.holds`
 test instead, with the EQ delta as slack, because they are usually
 rational approximations of exact algebraic points sitting on a constraint
-boundary.  A query point whose own cell center is infeasible is bridged
-to the face-adjacent feasible cells, if any.
+boundary; the chamber ordering gets the same slack, z_{k+1} - z_k >= -delta.
+A query point whose own cell center is infeasible is bridged to the
+face-adjacent feasible cells, if any.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .polynomials import (
     FaceSystem,
     Relation,
     SymmetricSystem,
-    chamber_atoms,
     restrict,
 )
 
@@ -65,11 +65,17 @@ Atom = tuple[ExpandedPoly, Relation]
 
 @dataclass(frozen=True)
 class Region:
-    """Membership predicate on a box: the conjunction of `requires`."""
+    """Membership predicate on a box: the conjunction of `requires`.
+
+    A chamber region also requires z_1 <= ... <= z_dim.  Its box must
+    have the same range on every axis, so that the ordering holds on a
+    grid's weakly increasing index tuples.
+    """
 
     dim: int
     requires: tuple[Atom, ...]
     box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    chamber: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -79,6 +85,8 @@ class Region:
             raise DomainError("box vectors must match the region dimension")
         if any(a > b for a, b in zip(lo, hi)):
             raise DomainError("box has lo > hi")
+        if self.chamber and (len(set(lo)) > 1 or len(set(hi)) > 1):
+            raise DomainError("a chamber region needs the same range on every axis")
         for poly, _ in self.requires:
             if poly.nvars != self.dim:
                 raise DomainError("constraint arity differs from region dimension")
@@ -178,8 +186,8 @@ def point_feasible(
     """Test a rational point against the predicate with query-side slack.
 
     Returns (ok, reason).  The reason names the first violated
-    constraint.  `h` selects the pitch whose tolerances apply; default
-    is the starting pitch.
+    constraint, or the chamber ordering.  `h` selects the pitch whose
+    tolerances apply; default is the starting pitch.
     """
     if len(x) != region.dim:
         raise PreconditionError(
@@ -200,6 +208,13 @@ def point_feasible(
             return False, (
                 f"constraint {format_poly(poly)} {_REL_TEXT[rel]} fails, value {v}"
             )
+    if region.chamber:
+        for k in range(region.dim - 1):
+            step = pt[k + 1] - pt[k]
+            if step < -delta:
+                return False, (
+                    f"chamber order z{k + 1} <= z{k + 2} fails, z{k + 2} - z{k + 1} = {step}"
+                )
     return True, ""
 
 
@@ -223,20 +238,6 @@ def _suffix_ranges(values: list[int]) -> list[tuple[int, int]]:
 def _interval_mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
     ends = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
     return min(ends), max(ends)
-
-
-def _chamber_step(atom: Atom) -> int | None:
-    """Axis k when the atom is exactly the chamber step from axis k to k + 1.
-
-    That is z_{k+2} - z_{k+1} >= 0 in the 1-based variables: coefficients
-    +1 and -1 on the two adjacent variables, nothing else, relation GE.
-    """
-    poly, rel = atom
-    if rel is not Relation.GE or len(poly.terms) != 2:
-        return None
-    ends = {c: exp.index(1) for exp, c in poly.terms.items() if sum(exp) == 1}
-    k = ends.get(-1)
-    return k if k is not None and ends.get(1) == k + 1 else None
 
 
 class _Atom:
@@ -271,8 +272,7 @@ class _Grid:
     same L * D^t.  As g is an integer, these are the integer intervals
     [ceil(thr / den), inf) and [-floor(thr / den), floor(thr / den)].
     Every comparison scales by the same D^t, so any common D gives the
-    same cells.  The chamber atoms that allow a sorted walk are
-    recognized from their terms (`_chamber_step`).
+    same cells.  A chamber region walks only its sorted cells.
 
     The walk fixes the axes in order, visiting prefixes lexicographically.
     Below a fixed prefix every undecided atom is bounded over all the
@@ -329,15 +329,12 @@ class _Grid:
             s *= m[k]
         self.strides = strides
 
-        # on a uniform box the chamber atoms hold exactly on the weakly
-        # increasing index tuples, so only those cells are walked
-        uniform = all(c == nums[0] for c in nums)
-        steps = [_chamber_step(a) if uniform else None for a in region.requires]
-        self.sorted_walk = sorted_walk = uniform and set(steps) >= set(range(dim - 1))
-        requires = [a for a, k in zip(region.requires, steps) if not sorted_walk or k is None]
+        # the chamber ordering holds exactly on the weakly increasing index
+        # tuples of its uniform box, so only those cells are walked
+        sorted_walk = region.chamber
 
         powers: dict[tuple[int, int], list[int]] = {}
-        for poly, _ in requires:
+        for poly, _ in region.requires:
             for exp in poly.terms:
                 for k, e in enumerate(exp):
                     if e and (k, e) not in powers:
@@ -483,7 +480,7 @@ class _Grid:
                     walk(f + 1, row + i * strides[f], t, kept)
 
         states = []
-        for atom in map(compile_atom, requires):
+        for atom in map(compile_atom, region.requires):
             verdict = decide(atom, atom.const, atom.coeffs, 0, 0)
             if verdict < 0:
                 break
@@ -641,9 +638,7 @@ def connected(
 
 def face_region(face: FaceSystem) -> Region:
     """Region of a face system in its block coordinates, chamber ordering included."""
-    return Region(
-        dim=face.dim, requires=face.constraints + chamber_atoms(face.dim), box=face.box
-    )
+    return Region(dim=face.dim, requires=face.constraints, box=face.box, chamber=True)
 
 
 def full_space_region(sys: SymmetricSystem) -> Region:

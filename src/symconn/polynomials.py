@@ -263,7 +263,11 @@ class Constraint:
 
 @dataclass(frozen=True)
 class SymmetricSystem:
-    """Conjunction of power-sum constraints inside a bounding box of R^n."""
+    """Conjunction of power-sum constraints inside a bounding box [lo, hi]^n.
+
+    The box is one interval on every coordinate, so that permuting the
+    coordinates maps the set to itself, as sorting, orbits and walls need.
+    """
 
     n: int
     d: int
@@ -281,13 +285,14 @@ class SymmetricSystem:
         lo, hi = self.box
         if len(lo) != self.n or len(hi) != self.n:
             raise DomainError("box vectors must have length n")
-        if any(a > b for a, b in zip(lo, hi)):
+        if len(set(lo)) > 1 or len(set(hi)) > 1:
+            raise DomainError("box must be [lo, hi]^n, the same interval on every coordinate")
+        if lo[0] > hi[0]:
             raise DomainError("box has lo > hi")
 
     def box_contains(self, x: Sequence) -> bool:
-        lo, hi = self.box
-        xs = [Fraction(v) for v in x]
-        return all(a <= v <= b for a, v, b in zip(lo, xs, hi))
+        lo, hi = self.box[0][0], self.box[1][0]
+        return all(lo <= Fraction(v) <= hi for v in x)
 
     def eval_membership(self, x: Sequence) -> tuple[bool, tuple[int, ...]]:
         """Constraint check at an exact point: (all hold, per-constraint signs)."""
@@ -309,21 +314,13 @@ def make_box(n: int, lo, hi) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]
     return (tuple([Fraction(lo)] * n), tuple([Fraction(hi)] * n))
 
 
-def chamber_atoms(dim: int) -> tuple[tuple[ExpandedPoly, Relation], ...]:
-    """The chamber ordering z_1 <= ... <= z_dim as GE atoms z_{k+1} - z_k >= 0."""
-    unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
-    return tuple(
-        (ExpandedPoly(dim, {unit[k]: 1, unit[k - 1]: -1}), Relation.GE) for k in range(1, dim)
-    )
-
-
 @dataclass(frozen=True)
 class FaceSystem:
     """A system restricted to one chamber face, in block coordinates.
 
     Constraints are expanded polynomials in length-of-lam variables; the
-    chamber ordering z_1 <= ... <= z_ell (`chamber_atoms`) and the face
-    box are implicit parts of the region.
+    chamber ordering z_1 <= ... <= z_ell and the face box [lo, hi]^ell
+    are implicit parts of the region.
     """
 
     lam: Composition
@@ -347,15 +344,6 @@ def restrict(sys: SymmetricSystem, lam: Composition | Sequence[int]) -> FaceSyst
         (c.poly.compose(gens), c.rel) for c in sys.constraints
     )
     lo, hi = sys.box
-    starts = lam.block_starts()
-    blo, bhi = [], []
-    for k, start in enumerate(starts):
-        span = range(start - 1, start - 1 + lam.parts[k])
-        blo.append(max(lo[i] for i in span))
-        bhi.append(min(hi[i] for i in span))
     return FaceSystem(
-        lam=lam,
-        n=sys.n,
-        constraints=constraints,
-        box=(tuple(blo), tuple(bhi)),
+        lam=lam, n=sys.n, constraints=constraints, box=make_box(ell, lo[0], hi[0])
     )

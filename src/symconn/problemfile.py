@@ -181,7 +181,8 @@ def parse_problem(data: bytes | str) -> ProblemFile:
             n=n, d=d, constraints=tuple(constraints), box=(lo, hi)
         )
     except DomainError as e:
-        raise ParseError(str(e), "") from None
+        # n, d and the constraints passed above: what is left is the box
+        raise ParseError(str(e), "box") from None
 
     points: dict = {}
     raw_points = obj.get("points", {})

@@ -31,7 +31,7 @@ from .oracle import (
     point_feasible,
     resolve_region,
 )
-from .polynomials import FaceSystem, block_substitute, chamber_atoms
+from .polynomials import FaceSystem, block_substitute, make_box
 
 
 @dataclass(frozen=True)
@@ -95,20 +95,8 @@ def _quotient(lam: Composition, mu: Composition) -> Composition:
     return composition(parts)
 
 
-def _box_on(face: FaceSystem, mu: Composition):
-    q = _quotient(face.lam, mu)
-    lo, hi = face.box
-    out_lo, out_hi = [], []
-    i = 0
-    for p in q.parts:
-        out_lo.append(max(lo[i : i + p]))
-        out_hi.append(min(hi[i : i + p]))
-        i += p
-    return tuple(out_lo), tuple(out_hi)
-
-
-def intersection_region(fi: FaceSystem, fj: FaceSystem) -> tuple[Region, Composition] | None:
-    """S_i and S_j on their join face; None when the boxes miss each other.
+def intersection_region(fi: FaceSystem, fj: FaceSystem) -> tuple[Region, Composition]:
+    """S_i and S_j on their join face, in the box [lo, hi] the faces share.
 
     Faces of one system restrict the same constraints, which meet again
     on the join, so an atom of S_j joins only when S_i lacks it.
@@ -122,14 +110,8 @@ def intersection_region(fi: FaceSystem, fj: FaceSystem) -> tuple[Region, Composi
         atom = (block_substitute(poly, qj), rel)
         if atom not in own:
             req.append(atom)
-    req.extend(chamber_atoms(ell))
-    lo1, hi1 = _box_on(fi, mu)
-    lo2, hi2 = _box_on(fj, mu)
-    blo = tuple(max(a, b) for a, b in zip(lo1, lo2))
-    bhi = tuple(min(a, b) for a, b in zip(hi1, hi2))
-    if any(a > b for a, b in zip(blo, bhi)):
-        return None
-    return Region(dim=ell, requires=tuple(req), box=(blo, bhi)), mu
+    box = make_box(ell, fi.box[0][0], fi.box[1][0])
+    return Region(dim=ell, requires=tuple(req), box=box, chamber=True), mu
 
 
 def _face_classes(res: RegionResolution, lam: Composition, x: Sequence) -> frozenset[int]:
@@ -152,9 +134,9 @@ def build_union_graph(
     faces = tuple(faces)
     if not faces:
         raise DomainError("need at least one face system")
-    n = faces[0].n
-    if any(f.n != n for f in faces):
-        raise DomainError("face systems must share the ambient dimension")
+    n, lo, hi = faces[0].n, faces[0].box[0][0], faces[0].box[1][0]
+    if any(f.n != n or f.box[0][0] != lo or f.box[1][0] != hi for f in faces):
+        raise DomainError("face systems must share the ambient dimension and the box")
     vertices: list[ComponentVertex] = []
     first: list[int] = []
     resolutions: list[RegionResolution] = []
@@ -165,10 +147,7 @@ def build_union_graph(
         resolutions.append(res)
     edges: set[tuple[int, int]] = set()
     for i, j in combinations(range(len(faces)), 2):
-        made = intersection_region(faces[i], faces[j])
-        if made is None:
-            continue
-        region, mu = made
+        region, mu = intersection_region(faces[i], faces[j])
         for z in resolve_region(region, cfg).representatives:
             x = embed(mu, z)
             us = _face_classes(resolutions[i], faces[i].lam, x)

@@ -88,6 +88,18 @@ def test_infeasible_point_exit_two(capsys):
     assert "infeasible" in err
 
 
+def test_non_uniform_box_exit_two(capsys, tmp_path):
+    # p1 + 3 >= 0 on [-1, 1] x [-2, 2]: permuting coordinates leaves the box
+    problem = tmp_path / "box.json"
+    problem.write_text(json.dumps({
+        "n": 2, "d": 1, "constraints": [{"coeffs": [[1, 1, 1], [0, 3, 1]], "rel": "GE"}],
+        "box": [[-1, -2], [1, 2]],
+    }))
+    code, _, err = run(capsys, "check", str(problem), "[1, -2]", "[0, 0]", "--auto-canonicalize")
+    assert code == 2
+    assert "box: box must be [lo, hi]^n" in err
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "check", "no-such.json", "[0,0]", "[0,0]")
     assert code == 2

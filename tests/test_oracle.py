@@ -17,7 +17,6 @@ from symconn.errors import DomainError, PreconditionError
 from symconn.oracle import (
     OracleConfig,
     Region,
-    _chamber_step,
     _Grid,
     brute_force_connected,
     connected,
@@ -33,7 +32,6 @@ from symconn.polynomials import (
     PowerSumPoly,
     Relation,
     SymmetricSystem,
-    chamber_atoms,
     make_box,
     restrict,
 )
@@ -276,9 +274,38 @@ def test_config_stores_exact_rationals():
 def test_face_region_includes_chamber_ordering():
     face = restrict(ball3(), (1, 2))
     r = face_region(face)
-    assert len(r.requires) == len(face.constraints) + 1
+    assert r.chamber and r.requires == face.constraints
     for rep in sample_components(r):
         assert rep[0] <= rep[1]
+
+
+def test_chamber_region_needs_a_uniform_box():
+    box = ((F(-1), F(-2)), (F(1), F(2)))
+    Region(dim=2, requires=(), box=box)
+    with pytest.raises(DomainError, match="same range on every axis"):
+        Region(dim=2, requires=(), box=box, chamber=True)
+
+
+def test_point_feasible_tests_the_chamber_order():
+    # the order gets the query-side slack of the GE atoms: delta = h = 1/2
+    region = Region(dim=3, requires=(), box=((F(-1),) * 3, (F(1),) * 3), chamber=True)
+    cfg = OracleConfig()
+    assert point_feasible(region, (F(-1), F(1, 2), F(0)), cfg) == (True, "")
+    ok, why = point_feasible(region, (F(-1), F(1), F(0)), cfg)
+    assert not ok and why == "chamber order z2 <= z3 fails, z3 - z2 = -1"
+    unordered = Region(dim=3, requires=(), box=region.box)
+    assert point_feasible(unordered, (F(-1), F(1), F(0)), cfg) == (True, "")
+
+
+def test_chamber_flag_is_part_of_the_cache_key():
+    # z1 - z2 >= 1/2 has cells off the chamber only
+    atom = (var(2, 1) - var(2, 2) - F(1, 2), Relation.GE)
+    box = ((F(-1),) * 2, (F(1),) * 2)
+    plain = Region(dim=2, requires=(atom,), box=box)
+    ordered = Region(dim=2, requires=(atom,), box=box, chamber=True)
+    assert len(sample_components(plain)) == 1
+    assert sample_components(ordered) == []
+    assert len(sample_components(plain)) == 1
 
 
 def test_full_space_region_matches_membership():
@@ -322,7 +349,8 @@ def reference_classes(region, cfg, h):
     """Per-cell classification with `ExpandedPoly.eval` on `Fraction`s.
 
     Follows the module's cell conventions (GE as written, EQ as
-    |g| <= delta, GT as g >= h) over the full product of cells.
+    |g| <= delta, GT as g >= h) over the full product of cells, and
+    requires the weak order of a chamber region's centers.
     Returns the class id of every cell (None when infeasible), numbered
     by first appearance in the lexicographic walk, and the center of the
     first cell of each class.
@@ -341,6 +369,8 @@ def reference_classes(region, cfg, h):
     feasible = set()
     for idx in itertools.product(*(range(len(c)) for c in centers)):
         c = tuple(axis[i] for axis, i in zip(centers, idx))
+        if region.chamber and any(a > b for a, b in zip(c, c[1:])):
+            continue
         if all(atom_holds(p, r, c) for p, r in region.requires):
             feasible.add(idx)
     label, reps = {}, []
@@ -397,16 +427,17 @@ def random_region(rng, dim, chamber, uniform, zero_span):
         lo.append(a)
         hi.append(a if zero_span and (uniform or k == dim - 1) else b)
     requires = [random_atom(rng, dim) for _ in range(rng.randint(1, 2))]
-    if chamber:
+    if chamber and not uniform:
         requires += [(var(dim, k + 1) - var(dim, k), Relation.GE) for k in range(1, dim)]
-    return Region(dim=dim, requires=tuple(requires), box=(tuple(lo), tuple(hi)))
+    box = (tuple(lo), tuple(hi))
+    return Region(dim=dim, requires=tuple(requires), box=box, chamber=chamber and uniform)
 
 
 KERNEL_CASES = [
-    # (chamber atoms, uniform box, zero-span axis)
-    (True, True, False),  # sorted walk
-    (True, False, False),  # chamber atoms on a non-uniform box: product walk
-    (False, True, False),  # uniform box without chamber atoms: product walk
+    # (chamber order, uniform box, zero-span axis)
+    (True, True, False),  # chamber region: sorted walk
+    (True, False, False),  # the order as GE atoms on a non-uniform box: product walk
+    (False, True, False),  # uniform box without the chamber order: product walk
     (False, False, False),
     (True, False, True),
     (False, False, True),
@@ -448,10 +479,8 @@ def test_grid_kernel_matches_reference_on_exact_ties(rel, from_config, chamber):
     scale = F(1, 2) if from_config else F(1)
     tie = ((var(2, 2) - var(2, 1)).scale(scale), rel)
     ball = (ExpandedPoly.constant(2, F(9, 5)) - var(2, 1) ** 2 - var(2, 2) ** 2, Relation.GE)
-    requires = (ball, tie)
-    if chamber:
-        requires += ((var(2, 2) - var(2, 1), Relation.GE),)
-    region = Region(dim=2, requires=requires, box=((F(-1, 3),) * 2, (F(5, 3),) * 2))
+    box = ((F(-1, 3),) * 2, (F(5, 3),) * 2)
+    region = Region(dim=2, requires=(ball, tie), box=box, chamber=chamber)
     cfg = OracleConfig(eq_delta=F(1, 6) if from_config else None)
     grid = _Grid(region, cfg, F(1, 3))
     cells, reps = reference_classes(region, cfg, F(1, 3))
@@ -519,9 +548,7 @@ def pruned_walk_cases(draw, sorted_walk):
         }[rel]
         tie = center() if draw(st.booleans()) else mid
         requires.append((poly + (target - poly.eval(tie)), rel))
-    if sorted_walk:
-        requires += chamber_atoms(dim)
-    return Region(dim=dim, requires=tuple(requires), box=box), cfg, h
+    return Region(dim=dim, requires=tuple(requires), box=box, chamber=sorted_walk), cfg, h
 
 
 def check_pruned_walk(region, cfg, h, walked):
@@ -607,61 +634,6 @@ def test_integer_centers_are_the_cell_centers(box, h):
     assert grid.center_of(last) == tuple(F(axis[-1], grid.D) for axis in grid.nums)
 
 
-def test_chamber_steps_are_recognized_from_their_terms():
-    dim = 3
-    steps = [(var(dim, k + 1) - var(dim, k), Relation.GE) for k in range(1, dim)]
-    assert [_chamber_step(a) for a in steps] == [0, 1]
-    assert [_chamber_step(a) for a in chamber_atoms(dim)] == [0, 1]
-    near_misses = [
-        ((var(dim, 2) - var(dim, 1)).scale(2), Relation.GE),
-        (var(dim, 2) - var(dim, 1), Relation.GT),
-        (var(dim, 2) - var(dim, 1), Relation.EQ),
-        (var(dim, 1) - var(dim, 2), Relation.GE),
-        (var(dim, 3) - var(dim, 1), Relation.GE),
-        (var(dim, 2) - var(dim, 1) + 1, Relation.GE),
-        (var(dim, 2) ** 2 - var(dim, 1), Relation.GE),
-        (var(dim, 2) + var(dim, 1), Relation.GE),
-    ]
-    assert [_chamber_step(a) for a in near_misses] == [None] * len(near_misses)
-    # the step z3 - z2 >= 0 missing, or present only as a near miss
-    z32 = var(dim, 3) - var(dim, 2)
-    box = ((F(-1),) * dim, (F(1),) * dim)
-    for requires, sorted_walk in [
-        (steps, True),
-        (steps[::-1] + steps[:1], True),  # any order, repeats allowed
-        (steps[:1], False),
-        (steps[:1] + [(z32.scale(2), Relation.GE)], False),
-        (steps[:1] + [(z32, Relation.GT)], False),
-        (steps[:1] + [(z32.scale(-1), Relation.GE)], False),
-    ]:
-        region = Region(dim=dim, requires=tuple(requires), box=box)
-        assert _Grid(region, OracleConfig(), F(1, 2)).sorted_walk is sorted_walk
-
-
-def test_sorted_walk_detection_matches_the_chamber_atom_set():
-    rng = random.Random(23)
-    picked = 0
-    for _ in range(200):
-        dim = rng.randint(1, 4)
-        chamber = list(chamber_atoms(dim))
-        near = [
-            (a.scale(rng.choice((2, -1))), Relation.GE) if rng.random() < 0.5 else (a, Relation.GT)
-            for a, _ in chamber
-        ]
-        requires = [random_atom(rng, dim)]
-        requires += [a for a in chamber if rng.random() < 0.8]
-        requires += [a for a in near if rng.random() < 0.3]
-        rng.shuffle(requires)
-        uniform = rng.random() < 0.8
-        region = random_region(rng, dim, False, uniform, rng.random() < 0.1)
-        region = Region(dim=dim, requires=tuple(requires), box=region.box)
-        centers = reference_centers(region.box, F(1, 2))
-        expected = all(c == centers[0] for c in centers) and set(chamber) <= set(requires)
-        assert _Grid(region, OracleConfig(), F(1, 2)).sorted_walk is expected
-        picked += expected
-    assert 20 < picked < 180
-
-
 # -- grid golden digest ---------------------------------------------------------
 
 
@@ -680,9 +652,7 @@ def fixture_grids():
         faces = Engine(pf.system, cfg).graph().faces
         regions = [face_region(f) for f in faces]
         for fi, fj in itertools.combinations(faces, 2):
-            made = intersection_region(fi, fj)
-            if made is not None:
-                regions.append(made[0])
+            regions.append(intersection_region(fi, fj)[0])
         regions.append(full_space_region(pf.system))
         out += [(path.name, resolve_region(region, cfg)._grid) for region in regions]
     return out

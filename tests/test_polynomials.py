@@ -14,7 +14,6 @@ from symconn.polynomials import (
     Relation,
     SymmetricSystem,
     block_substitute,
-    chamber_atoms,
     make_box,
     restrict,
     vandermonde_map,
@@ -216,13 +215,17 @@ def test_restrict_example():
     assert face.box == ((F(-2), F(-2)), (F(2), F(2)))
 
 
-def test_restrict_face_box_blocks():
-    # non-uniform box: block bounds are the tightest over merged positions
+def test_non_uniform_box_is_rejected():
+    # a box other than [lo, hi]^n is not kept by permuting coordinates
     g = PowerSumPoly(1, {(1,): 1})
-    box = ((F(-3), F(-2), F(-1)), (F(1), F(2), F(3)))
-    sys = SymmetricSystem(3, 1, (Constraint(g, Relation.GE),), box)
-    face = restrict(sys, (2, 1))
-    assert face.box == ((F(-2), F(-1)), (F(1), F(3)))
+    for box in [
+        ((F(-3), F(-2), F(-1)), (F(1), F(2), F(3))),
+        ((F(-1),) * 3, (F(1), F(1), F(2))),
+    ]:
+        with pytest.raises(DomainError, match=r"\[lo, hi\]\^n"):
+            SymmetricSystem(3, 1, (Constraint(g, Relation.GE),), box)
+    with pytest.raises(DomainError, match="lo > hi"):
+        SymmetricSystem(3, 1, (Constraint(g, Relation.GE),), make_box(3, 1, -1))
 
 
 def test_restrict_commutes_with_embedding():
@@ -265,13 +268,3 @@ def test_restrict_against_sympy_expansion():
         for e, c in face.constraints[0][0].terms.items()
     )
     assert sympy.expand(got - expected) == 0
-
-
-def test_chamber_polys():
-    atoms = chamber_atoms(3)
-    assert [rel for _, rel in atoms] == [Relation.GE, Relation.GE]
-    # z2 - z1 and z3 - z2
-    assert atoms[0][0].eval([0, 3, 5]) == 3
-    assert atoms[1][0].eval([0, 3, 5]) == 2
-    # a one-block face has no ordering constraints
-    assert chamber_atoms(1) == ()

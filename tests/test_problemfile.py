@@ -46,11 +46,20 @@ def test_accepts_bytes():
 
 def test_rational_forms():
     obj = json.loads(doc())
-    obj["box"] = [["-1/2", -2.0, "-0.25"], [2, [5, 2], "3"]]
+    obj["box"] = [["-2", -2.0, [-4, 2]], ["5/2", [5, 2], "2.5"]]
     pf = parse_problem(json.dumps(obj))
     lo, hi = pf.system.box
-    assert lo == (F(-1, 2), F(-2), F(-1, 4))
-    assert hi == (F(2), F(5, 2), F(3))
+    assert lo == (F(-2),) * 3
+    assert hi == (F(5, 2),) * 3
+
+
+@pytest.mark.parametrize(
+    "box", [[[-1, -2, -1], [1, 2, 1]], [[-1, -1, -1], [1, 1, "1/2"]], [[1, 1, 1], [0, 0, 0]]]
+)
+def test_box_errors_name_the_box(box):
+    with pytest.raises(ParseError) as err:
+        parse_problem(doc(box=box))
+    assert err.value.location == "box"
 
 
 def test_decimal_string_is_exact():

@@ -1,6 +1,7 @@
 """Union graph construction, component labels, and vertex lookup."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -60,10 +61,7 @@ def check_invariants(g):
         assert g.labels[u] == g.labels[k]
     # every sampled intersection point lies in a component of both faces
     for i, j in itertools.combinations(range(len(g.faces)), 2):
-        made = intersection_region(g.faces[i], g.faces[j])
-        if made is None:
-            continue
-        region, mu = made
+        region, mu = intersection_region(g.faces[i], g.faces[j])
         for z in sample_components(region, cfg):
             x = embed(mu, z)
             for f in (i, j):
@@ -113,6 +111,12 @@ def test_single_face_has_isolated_vertices():
     assert g.edges == ()
     assert g.component_count == 2
     check_invariants(g)
+
+
+def test_faces_must_share_the_box():
+    # the region where two faces meet lies in the box they share
+    with pytest.raises(DomainError, match="the box"):
+        build_union_graph([interval_face(0, 2), interval_face(1, 3, hi=8)])
 
 
 def test_edges_are_bipartite():
@@ -220,12 +224,11 @@ def test_cross_composition_graph_shape():
 def test_build_resolves_each_region_once():
     # one lookup per face region and per region where two faces meet
     faces = [restrict(ball_d4(6), lam) for lam in extremal_compositions(6, 4)]
-    met = sum(intersection_region(a, b) is not None for a, b in itertools.combinations(faces, 2))
-    assert met
+    assert len(faces) == 3
     oracle._resolve_cached.cache_clear()
     build_union_graph(faces, OracleConfig(h=F(1, 4), max_depth=1))
     info = oracle._resolve_cached.cache_info()
-    assert info.hits + info.misses == len(faces) + met
+    assert info.hits + info.misses == len(faces) + math.comb(len(faces), 2)
 
 
 def test_locate_in_cross_composition_graph():
