@@ -44,7 +44,6 @@ from .oracle import (
 from .polynomials import (
     Constraint,
     ExpandedPoly,
-    FaceSystem,
     PowerSumPoly,
     Relation,
     SymmetricSystem,
@@ -91,7 +90,6 @@ __all__ = [
     "DomainError",
     "Engine",
     "ExpandedPoly",
-    "FaceSystem",
     "InvalidCodeError",
     "LocateFailure",
     "OracleConfig",

@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: check (connectivity in the set itself), check-orbit
-(connectivity of orbits, both points sorted first), wall (can the
-component of x reach the wall x_i = x_{i+1}), min-canonical (the point
-where the fiber of x meets the extremal faces, with its p_{d+1}), graph
-(dump the face graph), verify (engine vs brute force over a fixture
-directory).
+Subcommands: check (connectivity in the set itself; x is sorted and the
+same swaps are applied to y), check-orbit (connectivity of orbits, both
+points sorted first), wall (can the component of x, sorted first, reach
+the wall x_i = x_{i+1}), min-canonical (the point where the fiber of x
+meets the extremal faces, with its p_{d+1}), graph (dump the face graph),
+verify (engine vs brute force over a fixture directory).
 
 The min-canonical point is the extremal family's p_{d+1} extremum on the
 fiber: the minimum for even d, the other end of the range for odd d.  Its
@@ -24,7 +24,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .compositions import apply_transpositions, sorting_transpositions
 from .engine import _decimal_json, _point_json, _vertex_json, get_engine
 from .errors import (
     DomainError,
@@ -36,7 +35,7 @@ from .errors import (
 from .polynomials import vandermonde_map
 from .problemfile import build_config, parse_point_text, parse_problem
 from .vandermonde import min_canonical
-from .verify import run_verify
+from .verify import _sort_and_conjugate, run_verify
 
 __all__ = ["main"]
 
@@ -96,11 +95,9 @@ def _emit(doc: dict):
 
 def _cmd_check(args) -> int:
     pf = _load_problem(args.system)
-    x = _resolve_point(args.x, pf, "x")
-    y = _resolve_point(args.y, pf, "y")
-    if args.auto_canonicalize:
-        word, x = sorting_transpositions(x)
-        y = apply_transpositions(y, word)
+    x, y = _sort_and_conjugate(
+        _resolve_point(args.x, pf, "x"), _resolve_point(args.y, pf, "y")
+    )
     eng = get_engine(pf.system, _config(pf, args))
     v = eng.symmetric(x, y)
     _emit({"command": "check", "connected": v.connected, "certificate": v.certificate})
@@ -121,9 +118,7 @@ def _cmd_check_orbit(args) -> int:
 
 def _cmd_wall(args) -> int:
     pf = _load_problem(args.system)
-    x = _resolve_point(args.x, pf, "x")
-    if args.auto_canonicalize:
-        _, x = sorting_transpositions(x)
+    x = tuple(sorted(_resolve_point(args.x, pf, "x")))
     eng = get_engine(pf.system, _config(pf, args))
     v = eng.wall(x, args.index)
     _emit({"command": "wall", "connected": v.connected, "certificate": v.certificate})
@@ -188,7 +183,7 @@ def _cmd_graph(args) -> int:
     _emit(
         {
             "command": "graph",
-            "faces": [list(f.lam.parts) for f in g.faces],
+            "faces": [list(lam.parts) for lam in g.faces],
             "vertices": [
                 {"index": k, **_vertex_json(g, k)} for k in range(len(g.vertices))
             ],
@@ -223,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help="problem file (JSON)")
     p.add_argument("x", help="point: name from the file, point file, or inline JSON")
     p.add_argument("y", help="point: name from the file, point file, or inline JSON")
-    p.add_argument("--auto-canonicalize", action="store_true",
-                   help="sort x and apply the same permutation to y first")
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -239,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("x")
     p.add_argument("index", type=int, help="wall index i, between 1 and n-1")
-    p.add_argument("--auto-canonicalize", action="store_true",
-                   help="sort x first")
     _add_common(p)
     p.set_defaults(func=_cmd_wall)
 

@@ -1,8 +1,11 @@
 """Connectivity deciders built on the face graph.
 
-`Engine` bundles the per-system state: the extremal faces, the union
-graph over them, and every fact a query needs that does not depend on
-the query itself, each computed once.  An engine memoizes
+`Engine` bundles the per-system state: the union graph, which lists the
+extremal faces it glues, and every fact a query needs that does not
+depend on the query itself, each computed once.  Every region it grids
+is a face set `face_region(sys, lam)`: the extremal faces and their joins
+inside the graph, and the merged faces of the wall search.  An engine
+memoizes
 
 - per point: the membership and box check that passed, and the canonical
   point with its graph vertex and its certificate record;
@@ -47,13 +50,12 @@ from .compositions import (
     Composition,
     composition,
     embed,
-    extremal_compositions,
     merge_at_wall,
     sorting_transpositions,
 )
 from .errors import LocateFailure, PreconditionError, SolverError
 from .oracle import OracleConfig, _exact, face_region, sample_components
-from .polynomials import FaceSystem, SymmetricSystem, restrict, vandermonde_map
+from .polynomials import SymmetricSystem, vandermonde_map
 from .realroots import dyadic_floor
 from .uniongraph import UnionGraph, build_union_graph, locate_vertex
 from .vandermonde import min_canonical
@@ -155,12 +157,11 @@ def _rational_embedding(emb, box) -> tuple[tuple[Fraction, ...], tuple[int, ...]
 
 
 class Engine:
-    """Per-system state: extremal faces, union graph, memoized queries."""
+    """Per-system state: the union graph and memoized queries."""
 
     def __init__(self, sys: SymmetricSystem, cfg: OracleConfig | None = None):
         self.sys = sys
         self.cfg = cfg if cfg is not None else OracleConfig()
-        self._faces: tuple[FaceSystem, ...] | None = None
         self._faces_json: list | None = None
         self._cfg_json = _config_json(self.cfg)
         self._graph: UnionGraph | None = None
@@ -171,16 +172,10 @@ class Engine:
         self._wall_search: dict = {}  # (wall, component) -> (trials, witness)
         self._walls: dict = {}
 
-    def faces(self) -> tuple[FaceSystem, ...]:
-        if self._faces is None:
-            lams = extremal_compositions(self.sys.n, self.sys.d)
-            self._faces = tuple(restrict(self.sys, lam) for lam in lams)
-            self._faces_json = [list(lam.parts) for lam in lams]
-        return self._faces
-
     def graph(self) -> UnionGraph:
         if self._graph is None:
-            self._graph = build_union_graph(self.faces(), self.cfg)
+            self._graph = build_union_graph(self.sys, self.cfg)
+            self._faces_json = [list(lam.parts) for lam in self._graph.faces]
         return self._graph
 
     # -- validation ----------------------------------------------------------
@@ -281,8 +276,8 @@ class Engine:
         if self._graph_summary is None:
             g = self.graph()
             res = [
-                {"face": list(f.lam.parts), **_summary_json(r.summary())}
-                for f, r in zip(g.faces, g.resolutions)
+                {"face": list(lam.parts), **_summary_json(r.summary())}
+                for lam, r in zip(g.faces, g.resolutions)
             ]
             self._graph_summary = {
                 "vertices": len(g.vertices),
@@ -325,15 +320,15 @@ class Engine:
         """Does the sorted-slice component of x touch the wall x_i = x_{i+1}?
 
         x is located once, through its canonical point.  Each extremal
-        face lam is merged across the wall into mu, mu's face set is
-        sampled, and every sampled point is located where it lies, with
-        no fiber solve: mu only merges blocks of lam, so precedes(lam, mu)
-        and the point lies in L_mu, inside L_lam, hence in the closed face
-        set S_lam; the vertex `locate_vertex` finds for it on mu lies in
-        its component of the union.  A trial whose vertex shares x's
-        component is a witness.  Exhausting all trials gives a no that is
-        not certified: only the merged extremal faces are sampled, not
-        the whole wall.
+        face lam of the graph is merged across the wall into mu, the face
+        set `face_region(sys, mu)` is sampled, and every sampled point is
+        located where it lies, with no fiber solve: mu only merges blocks
+        of lam, so precedes(lam, mu) and the point lies in L_mu, inside
+        L_lam, hence in the closed face set S_lam; the vertex
+        `locate_vertex` finds for it on mu lies in its component of the
+        union.  A trial whose vertex shares x's component is a witness.
+        Exhausting all trials gives a no that is not certified: only the
+        merged extremal faces are sampled, not the whole wall.
 
         Nothing here depends on x beyond its component, so the engine
         keeps the located samples of each merged face, built when the
@@ -381,8 +376,8 @@ class Engine:
         trials = []
         witness = None
         seen = set()
-        for extremal in self.faces():
-            merged = merge_at_wall(extremal.lam, i)
+        for extremal in g.faces:
+            merged = merge_at_wall(extremal, i)
             if merged in seen:
                 continue
             seen.add(merged)
@@ -413,9 +408,8 @@ class Engine:
         hit = self._wall_faces.get(merged)
         if hit is None:
             g = self.graph()
-            face = restrict(self.sys, merged)
             hit = []
-            for z in sample_components(face_region(face), self.cfg):
+            for z in sample_components(face_region(self.sys, merged), self.cfg):
                 xz = embed(merged, z)
                 hit.append((xz, locate_vertex(g, xz, merged)))
             self._wall_faces[merged] = hit

@@ -51,12 +51,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .compositions import Composition, composition
 from .errors import DomainError, PreconditionError
 from .polynomials import (
     ExpandedPoly,
-    FaceSystem,
     Relation,
     SymmetricSystem,
+    make_box,
     restrict,
 )
 
@@ -636,15 +637,16 @@ def connected(
     return res.connected_points(x, y)
 
 
-def face_region(face: FaceSystem) -> Region:
-    """Region of a face system in its block coordinates, chamber ordering included."""
-    return Region(dim=face.dim, requires=face.constraints, box=face.box, chamber=True)
+def face_region(sys: SymmetricSystem, lam: Composition | Sequence[int]) -> Region:
+    """The face set of lam in its block coordinates, chamber ordering included."""
+    lam = composition(lam)
+    box = make_box(lam.length, sys.box[0][0], sys.box[1][0])
+    return Region(dim=lam.length, requires=restrict(sys, lam), box=box, chamber=True)
 
 
 def full_space_region(sys: SymmetricSystem) -> Region:
     """The whole system as a region of R^n, no ordering imposed."""
-    face = restrict(sys, (1,) * sys.n)
-    return Region(dim=sys.n, requires=face.constraints, box=face.box)
+    return Region(dim=sys.n, requires=restrict(sys, (1,) * sys.n), box=sys.box)
 
 
 def brute_force_connected(

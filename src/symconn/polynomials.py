@@ -112,8 +112,9 @@ class ExpandedPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def _coerce(self, other) -> "ExpandedPoly":
@@ -138,26 +139,6 @@ class ExpandedPoly:
                     val *= x**e
             total += val
         return total
-
-
-def block_substitute(poly: ExpandedPoly, lam: Composition | Sequence[int]) -> ExpandedPoly:
-    """Identify the variables within each block of lam.
-
-    Positions 1..n map onto block variables 1..length; exponents of merged
-    variables add up.
-    """
-    lam = composition(lam)
-    if poly.nvars != lam.n:
-        raise DomainError(f"polynomial has {poly.nvars} variables, composition sums to {lam.n}")
-    out: dict[tuple[int, ...], Fraction] = {}
-    blocks = [lam.block_of(pos) for pos in range(1, lam.n + 1)]
-    for exp, c in poly.terms.items():
-        new = [0] * lam.length
-        for pos, e in enumerate(exp):
-            new[blocks[pos] - 1] += e
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + c
-    return ExpandedPoly(lam.length, out)
 
 
 def weighted_power_sum(j: int, weights: Sequence[int]) -> ExpandedPoly:
@@ -314,36 +295,12 @@ def make_box(n: int, lo, hi) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]
     return (tuple([Fraction(lo)] * n), tuple([Fraction(hi)] * n))
 
 
-@dataclass(frozen=True)
-class FaceSystem:
-    """A system restricted to one chamber face, in block coordinates.
-
-    Constraints are expanded polynomials in length-of-lam variables; the
-    chamber ordering z_1 <= ... <= z_ell and the face box [lo, hi]^ell
-    are implicit parts of the region.
-    """
-
-    lam: Composition
-    n: int
-    constraints: tuple[tuple[ExpandedPoly, Relation], ...]
-    box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-
-    @property
-    def dim(self) -> int:
-        return self.lam.length
-
-
-def restrict(sys: SymmetricSystem, lam: Composition | Sequence[int]) -> FaceSystem:
-    """Express the system on the face of lam in block coordinates."""
+def restrict(
+    sys: SymmetricSystem, lam: Composition | Sequence[int]
+) -> tuple[tuple[ExpandedPoly, Relation], ...]:
+    """The system's constraints on the face of lam, in block coordinates."""
     lam = composition(lam)
     if lam.n != sys.n:
         raise DomainError(f"composition sums to {lam.n}, system has n={sys.n}")
-    ell = lam.length
     gens = [weighted_power_sum(j, lam.parts) for j in range(1, sys.d + 1)]
-    constraints = tuple(
-        (c.poly.compose(gens), c.rel) for c in sys.constraints
-    )
-    lo, hi = sys.box
-    return FaceSystem(
-        lam=lam, n=sys.n, constraints=constraints, box=make_box(ell, lo[0], hi[0])
-    )
+    return tuple((c.poly.compose(gens), c.rel) for c in sys.constraints)

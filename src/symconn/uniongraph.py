@@ -1,17 +1,17 @@
-"""Component graph over a family of face sets, glued where they meet.
+"""Component graph over the extremal face sets of a system, glued where they meet.
 
-Every face set S_i = S and L_lam and the sorted chamber is closed in S,
+Every face set S_lam = S and L_lam and the sorted chamber is closed in S,
 since L_lam is a closed linear subspace, so it is closed in the finite
-union of the S_i.  For finitely many closed sets the components of the
+union of the S_lam.  For finitely many closed sets the components of the
 union are the classes of the relation "these components meet": a path
 in the union that leaves one component must enter another at a point
 of both.  The graph therefore holds one vertex per sampled component of
-each S_i, and an edge between a component of S_i and a component of S_j
-whenever a sampled component of S_i and S_j lies in both.  Its
-components mirror the components of the union.
+each face set, and an edge between a component of S_lam and a component
+of S_mu whenever a sampled component of the set where they meet lies in
+both.  Its components mirror the components of the union.
 
-Intersections are sampled on the join composition, where both operands
-restrict to a common lower-dimensional coordinate system.
+Two faces meet in the face set of their join, since L_lam and L_mu
+intersect in L_join(lam, mu), so that set is sampled as one more face.
 """
 
 from __future__ import annotations
@@ -21,22 +21,21 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .compositions import Composition, composition, embed, join, precedes
+from .compositions import Composition, embed, extremal_compositions, join, precedes
 from .errors import DomainError, LocateFailure, PreconditionError
 from .oracle import (
     OracleConfig,
-    Region,
     RegionResolution,
     face_region,
     point_feasible,
     resolve_region,
 )
-from .polynomials import FaceSystem, block_substitute, make_box
+from .polynomials import SymmetricSystem
 
 
 @dataclass(frozen=True)
 class ComponentVertex:
-    """One sampled component of the face set `faces[face]`.
+    """One sampled component of the face set of `faces[face]`.
 
     The representative lives in ambient coordinates.
     """
@@ -53,7 +52,7 @@ class UnionGraph:
     of face i's region, is vertex `face_starts[i] + c`.
     """
 
-    faces: tuple[FaceSystem, ...]
+    faces: tuple[Composition, ...]
     vertices: tuple[ComponentVertex, ...]
     edges: tuple[tuple[int, int], ...]
     labels: tuple[int, ...]
@@ -74,46 +73,6 @@ def face_coordinates(lam: Composition, x: Sequence) -> tuple[Fraction, ...]:
     return tuple(xs[s - 1] for s in lam.block_starts())
 
 
-def _quotient(lam: Composition, mu: Composition) -> Composition:
-    """How many consecutive lam blocks make up each mu block."""
-    ends = []
-    acc = 0
-    for p in mu.parts:
-        acc += p
-        ends.append(acc)
-    parts: list[int] = []
-    count, tot, t = 0, 0, 0
-    for p in lam.parts:
-        tot += p
-        count += 1
-        if t < len(ends) and tot == ends[t]:
-            parts.append(count)
-            count = 0
-            t += 1
-        elif t < len(ends) and tot > ends[t]:
-            raise DomainError("mu does not merge whole blocks of lam")
-    return composition(parts)
-
-
-def intersection_region(fi: FaceSystem, fj: FaceSystem) -> tuple[Region, Composition]:
-    """S_i and S_j on their join face, in the box [lo, hi] the faces share.
-
-    Faces of one system restrict the same constraints, which meet again
-    on the join, so an atom of S_j joins only when S_i lacks it.
-    """
-    mu = join(fi.lam, fj.lam)
-    ell = mu.length
-    qi, qj = _quotient(fi.lam, mu), _quotient(fj.lam, mu)
-    req = [(block_substitute(poly, qi), rel) for poly, rel in fi.constraints]
-    own = set(req)
-    for poly, rel in fj.constraints:
-        atom = (block_substitute(poly, qj), rel)
-        if atom not in own:
-            req.append(atom)
-    box = make_box(ell, fi.box[0][0], fi.box[1][0])
-    return Region(dim=ell, requires=tuple(req), box=box, chamber=True), mu
-
-
 def _face_classes(res: RegionResolution, lam: Composition, x: Sequence) -> frozenset[int]:
     """Classes of a face region holding the ambient point x.
 
@@ -126,32 +85,25 @@ def _face_classes(res: RegionResolution, lam: Composition, x: Sequence) -> froze
     return res.point_classes(xp) if good else frozenset()
 
 
-def build_union_graph(
-    faces: Sequence[FaceSystem], cfg: OracleConfig | None = None
-) -> UnionGraph:
-    """Sample every face set, then glue components through intersections."""
+def build_union_graph(sys: SymmetricSystem, cfg: OracleConfig | None = None) -> UnionGraph:
+    """Sample every extremal face set, then glue components where two faces meet."""
     cfg = cfg or OracleConfig()
-    faces = tuple(faces)
-    if not faces:
-        raise DomainError("need at least one face system")
-    n, lo, hi = faces[0].n, faces[0].box[0][0], faces[0].box[1][0]
-    if any(f.n != n or f.box[0][0] != lo or f.box[1][0] != hi for f in faces):
-        raise DomainError("face systems must share the ambient dimension and the box")
+    faces = tuple(extremal_compositions(sys.n, sys.d))
     vertices: list[ComponentVertex] = []
     first: list[int] = []
     resolutions: list[RegionResolution] = []
-    for i, face in enumerate(faces):
-        res = resolve_region(face_region(face), cfg)
+    for i, lam in enumerate(faces):
+        res = resolve_region(face_region(sys, lam), cfg)
         first.append(len(vertices))
-        vertices.extend(ComponentVertex(i, embed(face.lam, z)) for z in res.representatives)
+        vertices.extend(ComponentVertex(i, embed(lam, z)) for z in res.representatives)
         resolutions.append(res)
     edges: set[tuple[int, int]] = set()
     for i, j in combinations(range(len(faces)), 2):
-        region, mu = intersection_region(faces[i], faces[j])
-        for z in resolve_region(region, cfg).representatives:
+        mu = join(faces[i], faces[j])
+        for z in resolve_region(face_region(sys, mu), cfg).representatives:
             x = embed(mu, z)
-            us = _face_classes(resolutions[i], faces[i].lam, x)
-            ws = _face_classes(resolutions[j], faces[j].lam, x)
+            us = _face_classes(resolutions[i], faces[i], x)
+            ws = _face_classes(resolutions[j], faces[j], x)
             edges.update((first[i] + u, first[j] + w) for u in us for w in ws)
     adj: list[list[int]] = [[] for _ in vertices]
     for u, w in edges:
@@ -196,10 +148,10 @@ def locate_vertex(g: UnionGraph, x: Sequence, lam_home: Composition) -> int:
     for start, p in zip(lam_home.block_starts(), lam_home.parts):
         if any(xs[start - 1] != xs[start - 1 + t] for t in range(p)):
             raise PreconditionError("query point is not constant on its home face blocks")
-    for face, res, first in zip(g.faces, g.resolutions, g.face_starts):
-        if not precedes(face.lam, lam_home):
+    for lam, res, first in zip(g.faces, g.resolutions, g.face_starts):
+        if not precedes(lam, lam_home):
             continue
-        classes = _face_classes(res, face.lam, xs)
+        classes = _face_classes(res, lam, xs)
         if classes:
             return first + min(classes)
     raise LocateFailure(

@@ -7,9 +7,10 @@ Hypothesis also caches the constants it reads from the source files; that
 cache goes to the system temporary directory, not into the checkout.
 """
 
+import random
 import tempfile
 from fractions import Fraction
-from math import perm
+from math import perm, prod
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import sympy
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from symconn.polynomials import Constraint, PowerSumPoly, Relation, SymmetricSystem, make_box
 from symconn.realroots import UniPoly, divmod_poly, poly_gcd, real_roots, root_index, sign_at
 from symconn.vandermonde import _Krylov
 
@@ -218,3 +220,60 @@ def solves_system():
         )
 
     return solves
+
+
+def _slab_system(n, c, roots):
+    # coefficients of c * prod_k (t - r_k), lowest power first, as a
+    # polynomial in Z_1 alone
+    coeffs = [Fraction(c)]
+    for r in roots:
+        coeffs = [a - Fraction(r) * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    poly = PowerSumPoly(4, {(k, 0, 0, 0): a for k, a in enumerate(coeffs)})
+    return SymmetricSystem(
+        n=n, d=4, constraints=(Constraint(poly, Relation.GE),), box=make_box(n, -1, 1)
+    )
+
+
+@pytest.fixture
+def slab_system():
+    """slab_system(n, c, roots): c * prod_k (p1 - r_k) >= 0 on [-1, 1]^n, d = 4.
+
+    Every slab {a <= p1 <= b} of the box is convex, so the set has one
+    component per interval of {c * prod_k (t - r_k) >= 0} inside [-n, n],
+    the range of p1 on the box.
+    """
+    return _slab_system
+
+
+@pytest.fixture
+def random_slab_systems():
+    """random_slab_systems(seed, size): size seeded (system, roots, components).
+
+    n is 5, 6 or 7, c is 1 or -1, and there are 1 to 4 roots on the
+    quarter lattice in [-(n - 1), n - 1], at least 1 apart, so every
+    interval of the set's p1 range is at least 1 long.  The count is the
+    number of intervals, computed exactly.
+    """
+
+    def draw(seed, size):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < size:
+            n, c = rng.choice((5, 6, 7)), rng.choice((1, -1))
+            roots = sorted(
+                Fraction(rng.randint(-4 * (n - 1), 4 * (n - 1)), 4)
+                for _ in range(rng.randint(1, 4))
+            )
+            if any(b - a < 1 for a, b in zip(roots, roots[1:])):
+                continue
+            cuts = [-n, *roots, n]
+            up = [
+                c * prod((a + b) / 2 - r for r in roots) >= 0
+                for a, b in zip(cuts, cuts[1:])
+            ]
+            # neighbors that are both nonnegative meet at their shared cut
+            components = sum(1 for k, u in enumerate(up) if u and (k == 0 or not up[k - 1]))
+            out.append((_slab_system(n, c, roots), roots, components))
+        return out
+
+    return draw

@@ -19,10 +19,9 @@ from symconn.compositions import (
     sorting_transpositions,
 )
 from symconn.engine import Engine
+from symconn.oracle import OracleConfig
 from symconn.polynomials import (
     Constraint,
-    ExpandedPoly,
-    FaceSystem,
     PowerSumPoly,
     Relation,
     SymmetricSystem,
@@ -207,90 +206,17 @@ def test_04_vandermonde_solver_minimality(power_sum_within, solves_system):
     assert time.perf_counter() - t0 < 120.0
 
 
-def interval_face(a, b):
-    x = ExpandedPoly.variable(1, 1)
-    cons = ((x - F(a), Relation.GE), (x.scale(-1) + F(b), Relation.GE))
-    return FaceSystem(lam=composition((1,)), n=1, constraints=cons,
-                      box=((F(-1),), (F(9),)))
-
-
-def box_face(a, b, c, d):
-    x = ExpandedPoly.variable(2, 1)
-    y = ExpandedPoly.variable(2, 2)
-    cons = ((x - F(a), Relation.GE), (x.scale(-1) + F(b), Relation.GE),
-            (y - F(c), Relation.GE), (y.scale(-1) + F(d), Relation.GE))
-    return FaceSystem(lam=composition((1, 1)), n=2, constraints=cons,
-                      box=((F(-1), F(-1)), (F(9), F(9))))
-
-
-def fat_pair(iv, jv):
-    # overlap at least 1 or gap at least 1, per axis, so that any grid at
-    # pitch <= 1/2 sees the same merge structure
-    out = []
-    for (a, b), (c, d) in zip(iv, jv):
-        out.append(min(b, d) - max(a, c))
-    return all(o >= 1 or o <= -1 for o in out)
-
-
-def draw_family(rng, k, dims):
-    while True:
-        fam = []
-        for _ in range(k):
-            fam.append([(lambda lo: (lo, lo + rng.randint(1, 3)))(rng.randint(0, 6))
-                        for _ in range(dims)])
-        if all(fat_pair(fam[i], fam[j])
-               for i in range(k) for j in range(i + 1, k)):
-            return fam
-
-
-def union_find_count(fam, dims, steps):
-    # direct union-find over the union's grid cells at a fixed pitch; face
-    # regions live in chamber coordinates, so keep z_1 <= ... <= z_k only
-    pitch = F(10, steps)
-    cells = set()
-    for idx in itertools.product(range(steps), repeat=dims):
-        center = [F(-1) + pitch * (2 * i + 1) / 2 for i in idx]
-        if any(center[i] > center[i + 1] for i in range(dims - 1)):
-            continue
-        for box in fam:
-            if all(a <= c <= b for c, (a, b) in zip(center, box)):
-                cells.add(idx)
-                break
-    parent = {c: c for c in cells}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for cell in cells:
-        for axis in range(dims):
-            nb = list(cell)
-            nb[axis] += 1
-            nb = tuple(nb)
-            if nb in cells:
-                parent[find(cell)] = find(nb)
-    return len({find(c) for c in cells})
-
-
-def test_05_union_graph_matches_union_find():
+def test_05_union_graph_matches_union_find(random_slab_systems):
+    # seeded slab systems c * prod_k (p1 - r_k) >= 0 on [-1, 1]^n; each
+    # slab of p1 is convex, so the set has one component per interval of
+    # its p1 range, and the graph glued from the extremal faces must count
+    # exactly those
     t0 = time.perf_counter()
-    rng = random.Random(404)
+    cfg = OracleConfig(h=F(1, 4), max_depth=1)
     families = 0
-    for _ in range(8):
-        k = rng.randint(2, 4)
-        fam = draw_family(rng, k, 1)
-        faces = [interval_face(a, b) for ((a, b),) in fam]
-        g = build_union_graph(faces)
-        assert g.component_count == union_find_count(fam, 1, 80)
-        families += 1
-    for _ in range(6):
-        k = rng.randint(2, 3)
-        fam = draw_family(rng, k, 2)
-        faces = [box_face(a, b, c, d) for (a, b), (c, d) in fam]
-        g = build_union_graph(faces)
-        assert g.component_count == union_find_count(fam, 2, 40)
+    for sys, roots, components in random_slab_systems(404, 12):
+        g = build_union_graph(sys, cfg)
+        assert g.component_count == components, (sys.n, roots)
         families += 1
     assert families >= 10
     assert time.perf_counter() - t0 < 60.0

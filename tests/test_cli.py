@@ -61,15 +61,20 @@ def test_unknown_point_spec(capsys):
     assert "ghost" in err
 
 
-def test_unsorted_x_needs_flag(capsys):
-    code, _, err = run(capsys, "check", fx("split2.json"), "[1, 0]", "pp")
-    assert code == 2
-    assert "weakly increasing" in err
+def test_unsorted_x_gets_an_answer(capsys):
+    # check sorts x and swaps y alike: (1, 0), (0, 1) asks about pp and pu
+    code, out, _ = run(capsys, "check", fx("split2.json"), "[1, 0]", "pp")
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert (cert["x"], cert["y"]) == (["0", "1"], ["1", "0"])
+    # wall sorts x, so (1, 0) gets the answer of pp
+    _, unsorted, _ = run(capsys, "wall", fx("split2.json"), "[1, 0]", "1")
+    _, sorted_, _ = run(capsys, "wall", fx("split2.json"), "pp", "1")
+    assert unsorted == sorted_
 
 
 def test_auto_canonicalize(capsys):
-    code, out, _ = run(capsys, "check", fx("split2.json"), "[1, 0]", "[0, 1]",
-                       "--auto-canonicalize")
+    code, out, _ = run(capsys, "check", fx("split2.json"), "[1, 0]", "[0, 1]")
     assert code == 0
     assert json.loads(out)["connected"] is True
 
@@ -77,8 +82,7 @@ def test_auto_canonicalize(capsys):
 def test_auto_canonicalize_preserves_answer(capsys):
     # sorting both points together is the identity on the query
     _, plain, _ = run(capsys, "check", fx("split2.json"), "pp", "pu")
-    _, conj, _ = run(capsys, "check", fx("split2.json"), "[1, 0]", "[0, 1]",
-                     "--auto-canonicalize")
+    _, conj, _ = run(capsys, "check", fx("split2.json"), "[1, 0]", "[0, 1]")
     assert json.loads(plain)["connected"] == json.loads(conj)["connected"]
 
 
@@ -95,7 +99,7 @@ def test_non_uniform_box_exit_two(capsys, tmp_path):
         "n": 2, "d": 1, "constraints": [{"coeffs": [[1, 1, 1], [0, 3, 1]], "rel": "GE"}],
         "box": [[-1, -2], [1, 2]],
     }))
-    code, _, err = run(capsys, "check", str(problem), "[1, -2]", "[0, 0]", "--auto-canonicalize")
+    code, _, err = run(capsys, "check", str(problem), "[1, -2]", "[0, 0]")
     assert code == 2
     assert "box: box must be [lo, hi]^n" in err
 

@@ -5,12 +5,12 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 import symconn.engine as engine_module
-from symconn.compositions import composition, merge_at_wall
+from symconn.compositions import composition, embed, join, merge_at_wall
 from symconn.engine import Engine, get_engine
 from symconn.errors import DomainError, LocateFailure, PreconditionError
 from symconn.oracle import OracleConfig, face_region, sample_components
@@ -25,7 +25,7 @@ from symconn.polynomials import (
 )
 from symconn.problemfile import build_config, parse_problem
 from symconn.realroots import AlgebraicPoint, UniPoly, real_roots
-from symconn.uniongraph import intersection_region, locate_vertex
+from symconn.uniongraph import face_coordinates, locate_vertex
 from symconn.vandermonde import min_canonical
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -335,14 +335,21 @@ def test_ball_d4_union_graph_glues_faces(n, shape):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_ball_d4_intersection_is_the_join_face_region(n):
-    # two faces of one system restrict the same constraint, so their
-    # intersection region is the join face's own region, each atom once
+    # L_lam and L_mu meet in L_join(lam, mu), so the graph samples where two
+    # faces meet on the join's face set; each of its samples is sorted and
+    # lies, exactly, in the face set of both
     sys = d4_system(n, BALL4)
-    faces = Engine(sys, D4CFG).faces()
-    for k, fi in enumerate(faces):
-        for fj in faces[k + 1 :]:
-            region, mu = intersection_region(fi, fj)
-            assert region == face_region(restrict(sys, mu))
+    faces = Engine(sys, D4CFG).graph().faces
+    for lam, mu in combinations(faces, 2):
+        nu = join(lam, mu)
+        reps = sample_components(face_region(sys, nu), D4CFG)
+        assert reps
+        for x in (embed(nu, z) for z in reps):
+            assert list(x) == sorted(x)
+            for face in (lam, mu):
+                z = face_coordinates(face, x)
+                assert embed(face, z) == x
+                assert all(rel.holds(poly.eval(z)) for poly, rel in restrict(sys, face))
 
 
 def test_ball_d4_union_graph_at_default_depth():
@@ -370,7 +377,7 @@ def test_d4_graph_components_match_sorted_slice(name, n):
     sys = d4_system(n, *D4_SYSTEMS[name])
     g = Engine(sys, D4CFG).graph()
     assert len(g.faces) >= 2
-    slice_reps = sample_components(face_region(restrict(sys, (1,) * n)), D4CFG)
+    slice_reps = sample_components(face_region(sys, (1,) * n), D4CFG)
     assert g.component_count == len(slice_reps)
     if name == "split":
         assert g.component_count == 2
@@ -451,14 +458,14 @@ def test_wall_faces_are_restricted_sampled_and_located_once(calls):
     # restricted, sampled and located once, and each x is located once
     eng = Engine(split3())
     eng.graph()
-    restricts = calls(engine_module, "restrict")
+    regions = calls(engine_module, "face_region")
     samples = calls(engine_module, "sample_components")
     locates = calls(engine_module, "locate_vertex")
     xs = [(1, 1, 1), (F(9, 10), 1, F(11, 10)), (-1, -1, -1), (F(-11, 10), -1, F(-9, 10))]
     certs = [eng.wall(x, 1).certificate for x in xs]
     assert {c["x_canonical"]["vertex"]["component"] for c in certs} == {0, 1}
     merged = sorted({tuple(t["face"]) for c in certs for t in c["trials"]})
-    assert sorted(lam.parts for _sys, lam in restricts) == merged
+    assert sorted(lam.parts for _sys, lam in regions) == merged
     assert len(samples) == len(merged)
     reps = {(tuple(t["face"]), tuple(t["representative"])) for c in certs for t in c["trials"]}
     assert len(locates) == len(xs) + len(reps)
@@ -497,7 +504,7 @@ def test_wall_failure_is_not_memoized_and_faces_are_located_in_order(monkeypatch
     eng = Engine(d4_system(5, BALL4), D4CFG)
 
     def merged_faces(i):
-        return list(dict.fromkeys(merge_at_wall(f.lam, i) for f in eng.faces()))
+        return list(dict.fromkeys(merge_at_wall(lam, i) for lam in eng.graph().faces))
 
     real = engine_module.locate_vertex
 

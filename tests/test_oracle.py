@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symconn.compositions import join
 from symconn.engine import Engine
 from symconn.errors import DomainError, PreconditionError
 from symconn.oracle import (
@@ -36,7 +37,6 @@ from symconn.polynomials import (
     restrict,
 )
 from symconn.problemfile import build_config, parse_problem
-from symconn.uniongraph import intersection_region
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -272,9 +272,9 @@ def test_config_stores_exact_rationals():
 
 
 def test_face_region_includes_chamber_ordering():
-    face = restrict(ball3(), (1, 2))
-    r = face_region(face)
-    assert r.chamber and r.requires == face.constraints
+    r = face_region(ball3(), (1, 2))
+    assert r.chamber and r.requires == restrict(ball3(), (1, 2))
+    assert r.box == make_box(2, -2, 2)
     for rep in sample_components(r):
         assert rep[0] <= rep[1]
 
@@ -650,9 +650,9 @@ def fixture_grids():
         pf = parse_problem(path.read_bytes())
         cfg = build_config(pf.config)
         faces = Engine(pf.system, cfg).graph().faces
-        regions = [face_region(f) for f in faces]
-        for fi, fj in itertools.combinations(faces, 2):
-            regions.append(intersection_region(fi, fj)[0])
+        regions = [face_region(pf.system, lam) for lam in faces]
+        for lam, mu in itertools.combinations(faces, 2):
+            regions.append(face_region(pf.system, join(lam, mu)))
         regions.append(full_space_region(pf.system))
         out += [(path.name, resolve_region(region, cfg)._grid) for region in regions]
     return out

@@ -9,11 +9,9 @@ from symconn.errors import DomainError, PreconditionError
 from symconn.polynomials import (
     Constraint,
     ExpandedPoly,
-    FaceSystem,
     PowerSumPoly,
     Relation,
     SymmetricSystem,
-    block_substitute,
     make_box,
     restrict,
     vandermonde_map,
@@ -41,6 +39,18 @@ def test_expanded_poly_pow_and_scale():
     assert p.scale(F(1, 2)).eval([0, 1]) == 4
 
 
+def test_pow_squares_only_while_bits_remain(calls):
+    # p**e multiplies once per bit of e and squares between bits, never after the last
+    p = ExpandedPoly.variable(2, 1) + ExpandedPoly.variable(2, 2) + 1
+    products = calls(ExpandedPoly, "__mul__")
+    repeated = ExpandedPoly.constant(2, 1)
+    for e in (1, 2, 3):
+        repeated = repeated * p
+        products.clear()
+        assert p**e == repeated
+        assert len(products) == e
+
+
 def test_expanded_poly_cancellation():
     x1 = ExpandedPoly.variable(1, 1)
     assert (x1 - x1).is_zero()
@@ -57,48 +67,6 @@ def test_expanded_poly_rejects_bad_exponent():
 def test_weighted_power_sum_example():
     p = weighted_power_sum(2, (2, 1))
     assert p.terms == {(2, 0): F(2), (0, 2): F(1)}
-
-
-def test_block_substitute_example():
-    # x3^3 + x1*x2 - x4 with blocks (1,2,1) identifies x2=x3 and renames:
-    # x1*x2 + x2^3 - x3 in three variables.
-    f = ExpandedPoly(
-        4,
-        {
-            (0, 0, 3, 0): 1,
-            (1, 1, 0, 0): 1,
-            (0, 0, 0, 1): -1,
-        },
-    )
-    g = block_substitute(f, (1, 2, 1))
-    assert g.terms == {
-        (1, 1, 0): F(1),
-        (0, 3, 0): F(1),
-        (0, 0, 1): F(-1),
-    }
-
-
-def test_block_substitute_exponents_add():
-    # x1 * x2 with both positions in one block becomes X1^2
-    f = ExpandedPoly(2, {(1, 1): 1})
-    assert block_substitute(f, (2,)).terms == {(2,): F(1)}
-
-
-def test_block_substitute_matches_eval():
-    rng = random.Random(7)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        nterms = rng.randint(1, 5)
-        terms = {}
-        for _ in range(nterms):
-            exp = tuple(rng.randint(0, 3) for _ in range(n))
-            terms[exp] = terms.get(exp, 0) + rng.randint(-4, 4)
-        f = ExpandedPoly(n, terms)
-        comps = list(enumerate_compositions(n, rng.randint(1, n)))
-        lam = composition(rng.choice(comps))
-        g = block_substitute(f, lam)
-        z = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(lam.length)]
-        assert g.eval(z) == f.eval(embed(lam, z))
 
 
 def test_power_sum_poly_weighted_degree_guard():
@@ -207,12 +175,10 @@ def test_restrict_example():
         constraints=(Constraint(g, Relation.GE),),
         box=make_box(3, -2, 2),
     )
-    face = restrict(sys, (2, 1))
-    assert face.dim == 2
-    (poly, rel), = face.constraints
+    (poly, rel), = restrict(sys, (2, 1))
+    assert poly.nvars == 2
     assert rel is Relation.GE
     assert poly.terms == {(0, 0): F(1), (2, 0): F(-2), (0, 2): F(-1)}
-    assert face.box == ((F(-2), F(-2)), (F(2), F(2)))
 
 
 def test_non_uniform_box_is_rejected():
@@ -246,10 +212,10 @@ def test_restrict_commutes_with_embedding():
         )
         ell = rng.randint(1, n)
         lam = composition(rng.choice(list(enumerate_compositions(n, ell))))
-        face = restrict(sys, lam)
+        (poly, _), = restrict(sys, lam)
         z = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ell)]
         x = embed(lam, z)
-        face_val = face.constraints[0][0].eval(z)
+        face_val = poly.eval(z)
         parent_val = q.eval(vandermonde_map(x, d))
         assert face_val == parent_val
 
@@ -258,13 +224,13 @@ def test_restrict_against_sympy_expansion():
     # independent check of compose(): expand Z_1^2 - 2 Z_2 + Z_1 on (2,1)
     q = PowerSumPoly(2, {(2, 0): 1, (0, 1): -2, (1, 0): 1})
     sys = SymmetricSystem(3, 2, (Constraint(q, Relation.GE),), make_box(3, -9, 9))
-    face = restrict(sys, (2, 1))
+    (poly, _), = restrict(sys, (2, 1))
     X1, X2 = sympy.symbols("X1 X2")
     z1 = 2 * X1 + X2
     z2 = 2 * X1**2 + X2**2
     expected = sympy.expand(z1**2 - 2 * z2 + z1)
     got = sum(
         sympy.Rational(c.numerator, c.denominator) * X1 ** e[0] * X2 ** e[1]
-        for e, c in face.constraints[0][0].terms.items()
+        for e, c in poly.terms.items()
     )
     assert sympy.expand(got - expected) == 0
